@@ -1177,6 +1177,15 @@ Status ClusterService::MigrateUsers(const std::vector<UserMove>& moves) {
   }
 
   if (durability_ != nullptr) {
+    // Snapshots the seeding cut in the background land before the commit:
+    // a migration returns with its generations' snapshots on disk.
+    for (const std::unique_ptr<FeedService>& svc : rebuilt) {
+      Status st = svc->WaitForSnapshotPublish();
+      if (!st.ok()) {
+        lock.unlock();
+        return abort(st);
+      }
+    }
     // Migration-commit markers on both sides of every move, then the atomic
     // assignment re-point — THE durable commit. A crash before the rename
     // recovers the old placement (the new directories are orphans); after

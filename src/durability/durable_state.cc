@@ -127,12 +127,16 @@ void ShardDurability::BindObservability(obs::MetricsRegistry* metrics,
     append_us_ = &metrics->GetHistogram("wal.append_us");
     flush_us_ = &metrics->GetHistogram("wal.flush_us");
     snapshot_us_ = &metrics->GetHistogram("snapshot.write_us", 0.5, 1e8, 96);
+    cut_us_ = &metrics->GetHistogram("snapshot.cut_us", 0.5, 1e8, 96);
     rotations_ = &metrics->GetCounter("wal.rotations");
+    publish_failures_ = &metrics->GetCounter("snapshot.publish_failures");
   } else {
     append_us_ = nullptr;
     flush_us_ = nullptr;
     snapshot_us_ = nullptr;
+    cut_us_ = nullptr;
     rotations_ = nullptr;
+    publish_failures_ = nullptr;
   }
 }
 
@@ -218,7 +222,7 @@ Status ShardDurability::AppendLocked(const WalRecord& record) {
   } else {
     PIGGY_RETURN_NOT_OK(wal_.Append(record));
   }
-  ++records_since_snapshot_;
+  records_since_snapshot_.fetch_add(1, std::memory_order_relaxed);
   return Status::OK();
 }
 
@@ -266,19 +270,11 @@ Status ShardDurability::LogMigrationCommit() {
   return AppendLocked(r);
 }
 
-uint64_t ShardDurability::records_since_snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return records_since_snapshot_;
-}
-
-Status ShardDurability::WriteSnapshot(SnapshotData data) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const double rotate_start =
-      options_.trace != nullptr ? options_.trace->NowUs() : 0.0;
-  const uint64_t rotated_records = records_since_snapshot_;
-  // Make wal-K durable but keep it open: if any rotation step below fails,
-  // appends keep flowing to wal-K and the rotation can simply be retried —
-  // a transient snapshot error must not become a permanent write outage.
+Result<ShardDurability::Cut> ShardDurability::CutLocked(
+    SnapshotData data, Clock::time_point started) {
+  // Make wal-K durable before anything else: if the next WAL cannot be
+  // opened, appends keep flowing to wal-K and the rotation can simply be
+  // retried — a transient error must not become a permanent write outage.
   // mu_ is held throughout, so no record can slip in mid-rotation.
   if (wal_.is_open()) {
     WallTimer flush_timer;
@@ -286,59 +282,116 @@ Status ShardDurability::WriteSnapshot(SnapshotData data) {
     if (flush_us_ != nullptr) flush_us_->Record(flush_timer.Seconds() * 1e6);
   }
   const uint64_t next_id = has_snapshot_ ? current_id_ + 1 : 0;
-  data.id = next_id;
-  data.churn.clear();
-  data.churn.reserve(churn_delta_.size());
+  PIGGY_ASSIGN_OR_RETURN(
+      WalWriter next_wal,
+      WalWriter::Open(WalPath(next_id), options_.flush, options_.group_records,
+                      options_.use_fsync, /*truncate=*/true));
+  WalWriter old_wal = std::move(wal_);
+  wal_ = std::move(next_wal);
+  current_id_ = next_id;
+  has_snapshot_ = true;
+  PIGGY_RETURN_NOT_OK(old_wal.Close());
+
+  Cut cut;
+  cut.data = std::move(data);
+  cut.data.id = next_id;
+  cut.data.churn.clear();
+  cut.data.churn.reserve(churn_delta_.size());
   for (const auto& [key, added] : churn_delta_) {
-    data.churn.emplace_back(added, EdgeFromKey(key));
+    cut.data.churn.emplace_back(added, EdgeFromKey(key));
   }
-  std::sort(data.churn.begin(), data.churn.end(),
+  cut.records = records_since_snapshot_.load(std::memory_order_relaxed);
+  cut.cut_us =
+      std::chrono::duration<double, std::micro>(Clock::now() - started).count();
+  if (options_.trace != nullptr) {
+    cut.trace_start_us = options_.trace->NowUs() - cut.cut_us;
+  }
+  if (cut_us_ != nullptr) cut_us_->Record(cut.cut_us);
+  if (rotations_ != nullptr) rotations_->Add();
+  return cut;
+}
+
+void ShardDurability::TraceRotate(uint64_t id, double start_us,
+                                  double dur_us) const {
+  if (options_.trace == nullptr) return;
+  obs::TraceEvent ev;
+  ev.kind = obs::TraceEventKind::kWalRotate;
+  ev.ts_us = start_us;
+  ev.dur_us = dur_us;
+  ev.shard = options_.trace_shard;
+  ev.args = {{"wal", std::to_string(id)}};
+  options_.trace->Emit(std::move(ev));
+}
+
+Result<ShardDurability::Cut> ShardDurability::CutSnapshot(
+    SnapshotData data, Clock::time_point started) {
+  Cut cut;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    PIGGY_ASSIGN_OR_RETURN(cut, CutLocked(std::move(data), started));
+  }
+  TraceRotate(cut.data.id, cut.trace_start_us, cut.cut_us);
+  return cut;
+}
+
+Status ShardDurability::PublishSnapshot(Cut cut) {
+  std::lock_guard<std::mutex> lock(publish_mu_);
+  const uint64_t id = cut.data.id;
+  if (has_published_ && id <= published_id_) return Status::OK();  // superseded
+  std::sort(cut.data.churn.begin(), cut.data.churn.end(),
             [](const auto& a, const auto& b) { return a.second < b.second; });
   WallTimer snapshot_timer;
-  PIGGY_RETURN_NOT_OK(WriteSnapshotFile(data, SnapshotPath(next_id)));
+  Status written = WriteSnapshotFile(cut.data, SnapshotPath(id));
+  if (!written.ok()) {
+    if (publish_failures_ != nullptr) publish_failures_->Add();
+    return written;
+  }
   if (snapshot_us_ != nullptr) {
     snapshot_us_->Record(snapshot_timer.Seconds() * 1e6);
   }
-  auto next_wal =
-      WalWriter::Open(WalPath(next_id), options_.flush, options_.group_records,
-                      options_.use_fsync, /*truncate=*/true);
-  if (!next_wal.ok()) {
-    // Unpublish the snapshot: once snapshot-(K+1) exists, recovery skips
-    // wal-K, so appends continuing there would be silently lost. If the
-    // snapshot cannot be removed either, fail-stop the pair instead.
-    if (std::remove(SnapshotPath(next_id).c_str()) != 0) {
-      (void)wal_.Close();
-    }
-    return next_wal.status();
-  }
-  WalWriter old_wal = std::move(wal_);
-  wal_ = std::move(next_wal).MoveValueOrDie();
-  current_id_ = next_id;
-  has_snapshot_ = true;
-  records_since_snapshot_ = 0;
-  PIGGY_RETURN_NOT_OK(old_wal.Close());
+  const bool had_published = has_published_;
+  const uint64_t previous = published_id_;
+  has_published_ = true;
+  published_id_ = id;
+  records_since_snapshot_.fetch_sub(cut.records, std::memory_order_relaxed);
 
-  // Prune pairs older than the previous one; ignore errors (stray files are
-  // harmless, recovery skips invalid names and prefers newer snapshots).
-  if (next_id >= 2) {
-    for (uint64_t id : ListIds(options_.data_dir, "snapshot-", "")) {
-      if (id <= next_id - 2) std::remove(SnapshotPath(id).c_str());
+  // Keep the previous published snapshot and every WAL from it on; ignore
+  // errors (stray files are harmless, recovery skips invalid names and
+  // prefers newer snapshots).
+  if (had_published) {
+    for (uint64_t old : ListIds(options_.data_dir, "snapshot-", "")) {
+      if (old < previous) std::remove(SnapshotPath(old).c_str());
     }
-    for (uint64_t id : ListIds(options_.data_dir, "wal-", ".log")) {
-      if (id <= next_id - 2) std::remove(WalPath(id).c_str());
+    for (uint64_t old : ListIds(options_.data_dir, "wal-", ".log")) {
+      if (old < previous) std::remove(WalPath(old).c_str());
     }
   }
-  if (rotations_ != nullptr) rotations_->Add();
   if (options_.trace != nullptr) {
     options_.trace->Instant(
         obs::TraceEventKind::kSnapshotPublish, options_.trace_shard,
-        {{"snapshot", std::to_string(next_id)},
-         {"rotated_records", std::to_string(rotated_records)}});
-    options_.trace->Span(obs::TraceEventKind::kWalRotate, rotate_start,
-                         options_.trace_shard,
-                         {{"wal", std::to_string(next_id)}});
+        {{"snapshot", std::to_string(id)},
+         {"rotated_records", std::to_string(cut.records)},
+         {"write_ms", StrFormat("%.3f", snapshot_timer.Seconds() * 1e3)}});
   }
   return Status::OK();
+}
+
+Status ShardDurability::WriteSnapshot(SnapshotData data,
+                                      Clock::time_point started) {
+  Cut cut;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    PIGGY_ASSIGN_OR_RETURN(cut, CutLocked(std::move(data), started));
+  }
+  // A synchronous snapshot emits its rotate span after the publish: a
+  // shard's track reads snapshot_publish, wal_rotate for every control-plane
+  // snapshot, the order trace_replay_test pins in its checked-in reference.
+  const uint64_t id = cut.data.id;
+  const double start_us = cut.trace_start_us;
+  const double dur_us = cut.cut_us;
+  Status published = PublishSnapshot(std::move(cut));
+  TraceRotate(id, start_us, dur_us);
+  return published;
 }
 
 Result<ShardDurability::RecoveredState> ShardDurability::Recover() {
@@ -413,7 +466,12 @@ Result<ShardDurability::RecoveredState> ShardDurability::Recover() {
 
   current_id_ = resume_id;
   has_snapshot_ = true;
-  records_since_snapshot_ = 0;
+  records_since_snapshot_.store(0, std::memory_order_relaxed);
+  {
+    std::lock_guard<std::mutex> publish_lock(publish_mu_);
+    has_published_ = true;
+    published_id_ = state.snapshot.id;
+  }
   resume_wal_id_ = resume_id;
   resume_valid_bytes_ = resume_valid_bytes;
   resume_truncate_ = resume_truncate;

@@ -6,16 +6,29 @@
 //   <data_dir>/meta.txt          "piggy-durability v1"
 //   <data_dir>/base.graph        the pre-churn graph (binary graph_io format)
 //   <data_dir>/snapshot-NNNNNN   snapshots, monotone ids (snapshot.h format)
-//   <data_dir>/wal-NNNNNN.log    ops since snapshot NNNNNN (wal.h framing)
+//   <data_dir>/wal-NNNNNN.log    ops after cut NNNNNN (wal.h framing)
 //
-// Invariant: wal-K holds exactly the operations acked after snapshot-K was
-// written and before snapshot-(K+1). WriteSnapshot rotates in that order —
-// flush wal-K, atomically publish snapshot-(K+1), swap in a fresh (truncated)
-// wal-(K+1), close wal-K — under the append mutex, so at any crash point the
-// newest *valid* snapshot plus the WALs at or after its id reconstruct every
-// acked operation, and a rotation that fails partway leaves wal-K open and
-// appendable (the snapshot is unpublished again if the new WAL cannot open).
-// The last two pairs are retained; older ones are pruned.
+// Invariant: snapshot-K is the state as of the moment wal-K was opened, and
+// wal-K holds exactly the operations acked after that moment and before
+// wal-(K+1) was opened. A rotation runs in two phases:
+//
+//   cut      (under the caller's exclusive lock, and the append mutex)
+//            flush and close wal-K, open a truncated wal-(K+1), and capture
+//            the state snapshot-(K+1) will hold. The capture shares the
+//            large parts (event log segments, cached schedule text), so the
+//            cut costs the same at any history length.
+//   publish  (no lock held) encode, CRC, write and rename snapshot-(K+1);
+//            only then prune every snapshot and WAL older than the previous
+//            published snapshot.
+//
+// Between the two phases, and forever after a publish that fails, the files
+// are snapshot-J (the newest published, J <= K) plus wal-J .. wal-(K+1), so
+// at any crash point the newest *valid* snapshot plus the WALs at or after
+// its id reconstruct every acked operation. A cut that cannot open wal-(K+1)
+// leaves wal-K open and appendable; a publish that fails prunes nothing, and
+// records_since_snapshot() keeps counting from the last published cut, so
+// the next threshold check retries. Retention keeps the last two published
+// snapshots and the WALs from the older one on.
 //
 // Recovery picks the newest snapshot that passes its CRC, folds its churn
 // delta, then replays the surviving WALs in id order. A torn tail on the
@@ -25,9 +38,13 @@
 //
 // Logging methods are thread-safe: one internal mutex serializes appends,
 // which doubles as the group-commit point for WalFlushPolicy::kGroup.
+// Publishes take a second mutex of their own and never the append mutex,
+// so appends to wal-(K+1) flow while snapshot-(K+1) is being written.
 
 #pragma once
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -51,16 +68,20 @@ struct DurabilityOptions {
   WalFlushPolicy flush = WalFlushPolicy::kGroup;
   uint32_t group_records = 64;
   bool use_fsync = false;
-  /// Write a snapshot after this many WAL records (0 = never by count).
+  /// Write a snapshot after this many WAL records (0 = never by count). A
+  /// FeedService cuts on the request that crosses the threshold and
+  /// publishes the file on a background writer.
   uint64_t snapshot_every = 0;
   /// Write a snapshot after every replan commit, bounding replay cost to one
   /// plan epoch.
   bool snapshot_on_replan = true;
   /// Observability sinks (not owned; both may be null). `metrics` receives
-  /// the wal.append_us / wal.flush_us / snapshot.write_us histograms and
-  /// rotation counters; `trace` receives wal_rotate / snapshot_publish
-  /// events stamped with `trace_shard`. FeedService wires its own registry
-  /// and the configured TraceLog in before constructing the ShardDurability.
+  /// the wal.append_us / wal.flush_us / snapshot.cut_us / snapshot.write_us
+  /// histograms and the wal.rotations / snapshot.publish_failures counters;
+  /// `trace` receives wal_rotate (the cut) and snapshot_publish (the file
+  /// landed) events stamped with `trace_shard`. FeedService wires its own
+  /// registry and the configured TraceLog in before constructing the
+  /// ShardDurability.
   obs::MetricsRegistry* metrics = nullptr;
   obs::TraceLog* trace = nullptr;
   int32_t trace_shard = -1;
@@ -116,14 +137,38 @@ class ShardDurability {
   Status LogReplanCommit();
   Status LogMigrationCommit();
 
-  /// WAL records appended since the last snapshot rotation.
-  uint64_t records_since_snapshot() const;
+  /// WAL records appended since the cut of the newest published snapshot.
+  /// Lock-free (one relaxed atomic load): the serving path polls it after
+  /// every acked write.
+  uint64_t records_since_snapshot() const {
+    return records_since_snapshot_.load(std::memory_order_relaxed);
+  }
 
-  /// Rotates: closes the current WAL, publishes the next snapshot (id and
-  /// cumulative churn delta are filled in internally; the caller provides
-  /// rates, schedule text, events and next_seq), opens the next WAL, prunes
-  /// pairs older than the previous one.
-  Status WriteSnapshot(SnapshotData data);
+  using Clock = std::chrono::steady_clock;
+
+  /// A rotation that has been cut but not yet published.
+  struct Cut {
+    SnapshotData data;          // id and churn delta filled in by the cut
+    uint64_t records = 0;       // records_since_snapshot() at the cut
+    double trace_start_us = 0;  // trace clock at `started`
+    double cut_us = 0;          // wall time of the exclusive section
+  };
+
+  /// Phase 1 (see file comment), under the caller's exclusive lock: rotates
+  /// the WAL and stamps `data` with the next id and the cumulative churn
+  /// delta; the caller provides rates, schedule text, events and next_seq.
+  /// `started` is when the caller began capturing `data`, so snapshot.cut_us
+  /// and the wal_rotate span cover the whole exclusive section.
+  Result<Cut> CutSnapshot(SnapshotData data, Clock::time_point started = Clock::now());
+
+  /// Phase 2, with no lock held: writes the cut's snapshot, then prunes.
+  /// Publishes are serialized; a cut older than the newest published
+  /// snapshot is dropped as superseded.
+  Status PublishSnapshot(Cut cut);
+
+  /// Cut and publish back to back, for snapshots that must be on disk before
+  /// the caller returns (create, replan, the cluster pair).
+  Status WriteSnapshot(SnapshotData data, Clock::time_point started = Clock::now());
 
   struct RecoveredState {
     Graph base_graph;
@@ -162,6 +207,10 @@ class ShardDurability {
   std::string SnapshotPath(uint64_t id) const;
   std::string WalPath(uint64_t id) const;
   Status AppendLocked(const WalRecord& record);
+  /// The cut, with mu_ held.
+  Result<Cut> CutLocked(SnapshotData data, Clock::time_point started);
+  /// Emits the wal_rotate span of cut `id`.
+  void TraceRotate(uint64_t id, double start_us, double dur_us) const;
 
   DurabilityOptions options_;
   Graph base_graph_;
@@ -171,13 +220,20 @@ class ShardDurability {
   obs::Histogram* append_us_ = nullptr;
   obs::Histogram* flush_us_ = nullptr;
   obs::Histogram* snapshot_us_ = nullptr;
+  obs::Histogram* cut_us_ = nullptr;
   obs::Counter* rotations_ = nullptr;
+  obs::Counter* publish_failures_ = nullptr;
 
+  // Appends and cuts.
   mutable std::mutex mu_;
   WalWriter wal_;
-  uint64_t current_id_ = 0;       // id of the open WAL / newest snapshot
-  bool has_snapshot_ = false;     // false until the first WriteSnapshot
-  uint64_t records_since_snapshot_ = 0;
+  uint64_t current_id_ = 0;       // id of the open WAL / newest cut
+  bool has_snapshot_ = false;     // false until the first cut
+  std::atomic<uint64_t> records_since_snapshot_{0};
+  // Publishes (never held together with mu_ by the publisher).
+  std::mutex publish_mu_;
+  bool has_published_ = false;
+  uint64_t published_id_ = 0;     // newest snapshot on disk
   // Resume point established by Recover(), consumed by ResumeAppending().
   bool recovered_ = false;
   uint64_t resume_wal_id_ = 0;

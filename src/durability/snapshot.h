@@ -19,15 +19,21 @@
 // mid-write leaves the previous snapshot intact; the trailing CRC rejects a
 // snapshot whose rename survived but whose data did not. FailPoints
 // "snapshot.write" and "snapshot.rename" cover both windows.
+//
+// The writer streams the body through a fixed-size buffer with an
+// incremental CRC, so encoding a large event log never materializes the
+// file in memory; the reader decodes in place from one read of the file.
 
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "graph/graph.h"
+#include "store/event_log.h"
 #include "store/view_store.h"
 #include "util/status.h"
 
@@ -43,6 +49,14 @@ struct SnapshotData {
   std::vector<double> consumption;
   std::string schedule_text;  // SerializeSchedule output; may be empty
   std::vector<EventTuple> events;
+
+  // Shared forms of the two large fields, which let a service hand its
+  // state to a background writer without copying it. When set,
+  // `shared_schedule_text` is written instead of `schedule_text`, and the
+  // events of `shared_events` are written after `events`. Readers always
+  // fill the owned fields.
+  std::shared_ptr<const std::string> shared_schedule_text;
+  SegmentedEventLog::View shared_events;
 };
 
 /// Writes `data` to `path` atomically (temp file + rename).

@@ -119,6 +119,8 @@ FeedService::~FeedService() {
   replan_cancel_.store(true, std::memory_order_release);
   replan_cv_.notify_all();
   if (replan_thread_.joinable()) replan_thread_.join();
+  // The in-flight publish finishes before the durability pair goes away.
+  if (publisher_.joinable()) publisher_.join();
 }
 
 Result<std::unique_ptr<FeedService>> FeedService::Create(
@@ -226,6 +228,10 @@ Result<std::unique_ptr<FeedService>> FeedService::Recover(
       service->schedule_,
       ParseSchedule(snap.schedule_text,
                     options.durability.data_dir + ":snapshot-schedule"));
+  // The snapshot's text is this schedule's serialization until the WAL tail
+  // changes it.
+  service->schedule_text_ =
+      std::make_shared<const std::string>(snap.schedule_text);
   service->maintainer_ = std::make_unique<IncrementalMaintainer>(
       &service->graph_, &service->schedule_, &service->workload_);
   service->maintainer_->RebuildIndexes();
@@ -351,6 +357,7 @@ Status FeedService::ReplanLocked() {
                          planner->Plan(snapshot, workload_, ctx));
   if (trace != nullptr) tracer->Close(trace, options_.trace_shard);
   schedule_ = std::move(plan.schedule);
+  schedule_text_.reset();
   maintainer_->RebuildIndexes();
   options_.planner = plan.planner;  // canonicalize aliases ("ff" -> "hybrid")
   // The drift policy measures erosion relative to the advantage this plan
@@ -538,6 +545,7 @@ Status FeedService::BackgroundReplanOnce(bool refresh_workload) {
     return Status::OK();  // superseded by shutdown or a newer plan
   }
   schedule_ = std::move(plan.schedule);
+  schedule_text_.reset();
   maintainer_->RebuildIndexes();
   const size_t raced_churn = churn_journal_.size();
   for (const ChurnRecord& rec : churn_journal_) {
@@ -785,6 +793,7 @@ Status FeedService::ObserveRequest(bool is_share, NodeId u) {
 
 Status FeedService::ApplyChurnLocked(Status churn_result, bool added,
                                      NodeId producer, NodeId consumer) {
+  schedule_text_.reset();  // the repair may have rewritten the schedule
   PIGGY_RETURN_NOT_OK(churn_result);
   if (durability_ != nullptr && !replaying_) {
     PIGGY_RETURN_NOT_OK(durability_->LogChurn(added, producer, consumer));
@@ -868,26 +877,66 @@ Status FeedService::LogMigrationCommit() {
   return durability_->LogMigrationCommit();
 }
 
-Status FeedService::WriteSnapshotLocked() {
-  if (durability_ == nullptr) return Status::OK();
-  SnapshotData data;  // id + churn delta are filled in by ShardDurability
+SnapshotData FeedService::CaptureSnapshotLocked() {
+  SnapshotData data;  // id + churn delta are filled in by the cut
   data.production = workload_.production;
   data.consumption = workload_.consumption;
-  data.schedule_text = SerializeSchedule(schedule_);
-  if (prototype_ != nullptr) data.events = prototype_->EventLog();
-  return durability_->WriteSnapshot(std::move(data));
+  if (schedule_text_ == nullptr) {
+    schedule_text_ =
+        std::make_shared<const std::string>(SerializeSchedule(schedule_));
+  }
+  data.shared_schedule_text = schedule_text_;
+  if (prototype_ != nullptr) data.shared_events = prototype_->EventLogView();
+  return data;
+}
+
+Status FeedService::WriteSnapshotLocked() {
+  if (durability_ == nullptr) return Status::OK();
+  // Publishes land in cut order: let a background one finish first (the
+  // writer never takes mu_, so waiting under it cannot deadlock).
+  if (publisher_.joinable()) publisher_.join();
+  const auto started = ShardDurability::Clock::now();
+  return durability_->WriteSnapshot(CaptureSnapshotLocked(), started);
 }
 
 Status FeedService::MaybeSnapshot() {
   if (durability_ == nullptr || replaying_) return Status::OK();
   const uint64_t every = options_.durability.snapshot_every;
-  if (every == 0 || durability_->records_since_snapshot() < every) {
+  // The count runs from the newest *published* cut, so it stays over the
+  // threshold while a publish is in flight (skip: one publish at a time)
+  // and after a failed one (retry).
+  if (every == 0 || durability_->records_since_snapshot() < every ||
+      publish_in_flight_.load(std::memory_order_acquire)) {
     return Status::OK();
   }
   std::unique_lock<std::shared_mutex> lock(mu_);
-  // Another writer may have rotated while this one waited for the lock.
-  if (durability_->records_since_snapshot() < every) return Status::OK();
-  return WriteSnapshotLocked();
+  // Another writer may have cut while this one waited for the lock.
+  if (publish_in_flight_.load(std::memory_order_acquire) ||
+      durability_->records_since_snapshot() < every) {
+    return Status::OK();
+  }
+  const auto started = ShardDurability::Clock::now();
+  if (publisher_.joinable()) publisher_.join();  // its publish has landed
+  PIGGY_ASSIGN_OR_RETURN(
+      ShardDurability::Cut cut,
+      durability_->CutSnapshot(CaptureSnapshotLocked(), started));
+  publish_in_flight_.store(true, std::memory_order_release);
+  publisher_ = std::thread([this, cut = std::move(cut)]() mutable {
+    Status status = durability_->PublishSnapshot(std::move(cut));
+    std::lock_guard<std::mutex> pl(publish_mu_);
+    publish_status_ = std::move(status);
+    publish_in_flight_.store(false, std::memory_order_release);
+    publish_cv_.notify_all();
+  });
+  return Status::OK();
+}
+
+Status FeedService::WaitForSnapshotPublish() {
+  std::unique_lock<std::mutex> pl(publish_mu_);
+  publish_cv_.wait(pl, [this] {
+    return !publish_in_flight_.load(std::memory_order_acquire);
+  });
+  return publish_status_;
 }
 
 Result<DriverReport> FeedService::Drive(const DriverOptions& options) {

@@ -44,6 +44,15 @@
 // the Sec-3.3 local repair at publish time; shares that raced are replayed
 // into the pre-built plane by a log diff. Serving threads only ever block
 // for the swap, never for the planner.
+//
+// Durable snapshots follow the same split. The request that crosses
+// `snapshot_every` takes the exclusive lock only for the cut (WAL rotation
+// plus a capture that shares the event log's sealed segments and a cached
+// schedule text); a per-service writer thread encodes and writes the file
+// with no lock held, one publish in flight at a time. Control-plane
+// snapshots (create, replan, migration) publish before their call returns.
+// Lock order: mu_ -> prototype log -> durability; the writer never takes
+// mu_.
 
 #pragma once
 
@@ -253,6 +262,10 @@ class FeedService {
   /// provable audit completeness, see Prototype::AuditStream). Thread-safe.
   Result<uint64_t> TrimmedEvents();
 
+  /// Blocks until no background snapshot publish is in flight; returns the
+  /// status of the last one to finish (OK if none ran). Thread-safe.
+  Status WaitForSnapshotPublish();
+
  private:
   FeedService(const Graph& graph, Workload workload, FeedServiceOptions options);
 
@@ -293,13 +306,21 @@ class FeedService {
   Status ApplyChurnLocked(Status churn_result, bool added, NodeId producer,
                           NodeId consumer);
 
-  /// Builds a SnapshotData from the live state (rates, schedule, event log)
-  /// and rotates the durability pair. Requires mu_ held exclusively. No-op
-  /// without durability.
+  /// The live state a snapshot holds (rates, schedule text, event log),
+  /// sharing the event log's segments and the cached schedule text.
+  /// Requires mu_ held exclusively.
+  SnapshotData CaptureSnapshotLocked();
+
+  /// Cuts and publishes a snapshot before returning (control-plane
+  /// snapshots); an in-flight background publish lands first. Requires mu_
+  /// held exclusively. No-op without durability.
   Status WriteSnapshotLocked();
 
   /// Snapshot-by-record-count trigger, called after acked writes with no
-  /// lock held; takes the exclusive lock only when the threshold is crossed.
+  /// lock held: one atomic load unless the threshold is crossed, then the
+  /// cut under the exclusive lock and the publish on the writer thread. A
+  /// crossing while a publish is in flight is left to the first request
+  /// after it lands.
   Status MaybeSnapshot();
 
   /// Drift-mode bookkeeping for one served request, and — when an
@@ -334,12 +355,24 @@ class FeedService {
   // single-threaded by construction.
   bool replaying_ = false;
 
+  // Background snapshot writer: at most one publish in flight. publisher_
+  // is started and joined under mu_ exclusive; publish_mu_ guards
+  // publish_status_ and pairs with publish_cv_ for WaitForSnapshotPublish.
+  std::atomic<bool> publish_in_flight_{false};
+  std::mutex publish_mu_;
+  std::condition_variable publish_cv_;
+  Status publish_status_;
+  std::thread publisher_;
+
   // Serving state, guarded by mu_: readers (Share/QueryStream/metrics) take
   // it shared, churn/replans/rebuilds take it exclusive.
   mutable std::shared_mutex mu_;
   DynamicGraph graph_;
   Workload workload_;
   Schedule schedule_;
+  // SerializeSchedule(schedule_), built at the first cut after the schedule
+  // last changed (replan swap or churn repair reset it to null).
+  std::shared_ptr<const std::string> schedule_text_;
   std::unique_ptr<IncrementalMaintainer> maintainer_;
 
   // Serving plane: a CSR snapshot of graph_ plus the prototype bound to it.

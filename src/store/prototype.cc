@@ -42,11 +42,9 @@ void Prototype::AppendAndDeliver(NodeId u, uint64_t event_id, uint64_t timestamp
   {
     std::lock_guard<std::mutex> lock(log_mu_);
     // Keep the log in (timestamp, event id) share order: concurrent cluster
-    // writers can deliver externally sequenced events slightly late, so walk
-    // back from the tail (one step at most in the common case).
-    auto pos = event_log_.end();
-    while (pos != event_log_.begin() && NewerThan(*(pos - 1), event)) --pos;
-    event_log_.insert(pos, event);
+    // writers can deliver externally sequenced events slightly late, so the
+    // insert walks back from the tail (one step at most in the common case).
+    event_log_.Insert(event);
     next_event_id_ = std::max(next_event_id_, event_id + 1);
     clock_ = std::max(clock_, timestamp + 1);
     log_version_.fetch_add(1, std::memory_order_release);
@@ -61,7 +59,7 @@ EventTuple Prototype::ShareEvent(NodeId u) {
   {
     std::lock_guard<std::mutex> lock(log_mu_);
     event = EventTuple{u, next_event_id_++, clock_++};
-    event_log_.push_back(event);
+    event_log_.Insert(event);
     log_version_.fetch_add(1, std::memory_order_release);
   }
   client_->ShareEvent(u, event.event_id, event.timestamp);
@@ -112,22 +110,25 @@ Status Prototype::AuditStream(NodeId u, const std::vector<EventTuple>& stream,
 
   // Completeness (bounded staleness with Theta = 0 in the simulator): the
   // stream must be exactly the k newest oracle events.
-  std::vector<EventTuple> log = EventLog();
-  // The log copy sits outside the window `now` proved share-free: a share
-  // landing between that check and the copy would put an event in the oracle
+  const SegmentedEventLog::View log = EventLogView();
+  // The log view sits outside the window `now` proved share-free: a share
+  // landing between that check and the view would put an event in the oracle
   // the stream never saw. Re-verify before comparing (a share starting after
-  // this line cannot have touched the copy above).
+  // this line cannot have touched the view above).
   const AuditToken after = BeginAudit();
   if (!after.quiescent || after.log_version != token.log_version) {
     return Status::OK();
   }
   std::vector<EventTuple> oracle;
-  for (const EventTuple& e : log) {
-    if (e.producer == u ||
-        std::binary_search(followees.begin(), followees.end(), e.producer)) {
-      oracle.push_back(e);
+  log.ForEachRun([&](const EventTuple* events, size_t n) {
+    for (size_t i = 0; i < n; ++i) {
+      const EventTuple& e = events[i];
+      if (e.producer == u ||
+          std::binary_search(followees.begin(), followees.end(), e.producer)) {
+        oracle.push_back(e);
+      }
     }
-  }
+  });
   oracle = TopKNewest(std::move(oracle), options_.feed_size);
   if (oracle.size() != stream.size()) {
     return Status::Internal(StrFormat("stream of %u has %zu events, oracle %zu", u,
@@ -181,7 +182,7 @@ Status Prototype::RestoreEvents(const std::vector<EventTuple>& log) {
   }
   {
     std::lock_guard<std::mutex> lock(log_mu_);
-    event_log_ = log;
+    event_log_.Assign(log);
     for (const EventTuple& e : log) {
       next_event_id_ = std::max(next_event_id_, e.event_id + 1);
       clock_ = std::max(clock_, e.timestamp + 1);

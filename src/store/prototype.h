@@ -32,6 +32,7 @@
 #include "graph/compressed_adjacency.h"
 #include "graph/graph.h"
 #include "store/app_client.h"
+#include "store/event_log.h"
 #include "store/partitioner.h"
 #include "store/view_store.h"
 #include "util/status.h"
@@ -133,9 +134,14 @@ class Prototype {
 
   /// Copy of every event shared so far, in share order (the audit oracle's
   /// input; a copy so serving threads can keep appending).
-  std::vector<EventTuple> EventLog() const {
+  std::vector<EventTuple> EventLog() const { return EventLogView().Flatten(); }
+
+  /// The same events as an immutable view that shares the log's sealed
+  /// segments: O(segment) to take whatever the history length, and safe to
+  /// read from another thread while shares keep landing (see event_log.h).
+  SegmentedEventLog::View EventLogView() const {
     std::lock_guard<std::mutex> lock(log_mu_);
-    return event_log_;
+    return event_log_.Snapshot();
   }
 
   /// Replays a previously captured event log into a freshly built instance:
@@ -161,7 +167,7 @@ class Prototype {
 
   // Audit log: every shared event in timestamp order, guarded by log_mu_.
   mutable std::mutex log_mu_;
-  std::vector<EventTuple> event_log_;
+  SegmentedEventLog event_log_;
   uint64_t next_event_id_ = 1;
   uint64_t clock_ = 1;
   // Bumped on every log append; with shares_in_flight_ it lets audits detect

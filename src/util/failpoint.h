@@ -22,10 +22,17 @@
 // Arm(name, action, skip) lets the first `skip` hits pass before triggering,
 // which is how the kill-and-recover test sweeps the crash site across every
 // record boundary of a storm.
+//
+// Hold(name) parks every thread that hits the point until Release(name);
+// the armed action, if any, applies once the thread resumes. Tests use it
+// to freeze a background snapshot writer mid-publish and drive the service
+// around it.
 
 #pragma once
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -51,8 +58,15 @@ class FailPointRegistry {
   /// Disarms a single point (the crashed flag is left untouched).
   void Disarm(const std::string& name);
 
-  /// Disarms every point and clears the crashed flag.
+  /// Disarms every point, releases every hold and clears the crashed flag.
   void ClearAll();
+
+  /// Parks threads that hit `name` until Release(name).
+  void Hold(const std::string& name);
+  void Release(const std::string& name);
+  /// Waits until at least one thread is parked at `name`; false on timeout.
+  bool WaitUntilParked(const std::string& name,
+                       std::chrono::milliseconds timeout);
 
   /// Consults the point. Crash actions latch the crashed flag and disarm the
   /// point; once crashed, every point answers kCrashHard.
@@ -74,8 +88,15 @@ class FailPointRegistry {
     uint64_t skip = 0;  // hits remaining before the action triggers
   };
 
+  struct Held {
+    bool holding = false;
+    int parked = 0;  // threads waiting at the point
+  };
+
   mutable std::mutex mu_;
+  std::condition_variable cv_;
   std::unordered_map<std::string, Armed> points_;
+  std::unordered_map<std::string, Held> holds_;
   std::atomic<int> armed_count_{0};
   std::atomic<bool> crashed_{false};
 };

@@ -4,9 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -14,6 +17,7 @@
 #include "durability/snapshot.h"
 #include "durability/wal.h"
 #include "graph/graph_builder.h"
+#include "store/event_log.h"
 #include "util/crc32.h"
 #include "util/failpoint.h"
 
@@ -69,6 +73,48 @@ TEST(Crc32Test, KnownAnswer) {
 TEST(Crc32Test, Incremental) {
   uint32_t partial = Crc32("12345", 5);
   EXPECT_EQ(Crc32("6789", 4, partial), 0xCBF43926u);
+}
+
+// The byte-at-a-time table CRC the slice-by-8 version must reproduce exactly.
+uint32_t BytewiseCrc32(const uint8_t* p, size_t len) {
+  static const std::vector<uint32_t> table = [] {
+    std::vector<uint32_t> t(256);
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t c = i;
+      for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+      t[i] = c;
+    }
+    return t;
+  }();
+  uint32_t c = 0xFFFFFFFFu;
+  for (size_t i = 0; i < len; ++i) c = table[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32Test, MatchesBytewiseReference) {
+  constexpr size_t kMaxLen = 4096;
+  std::vector<uint8_t> buf(kMaxLen + 8);
+  uint64_t x = 0x9E3779B97F4A7C15ULL;
+  for (uint8_t& b : buf) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    b = static_cast<uint8_t>(x);
+  }
+  for (size_t len = 0; len <= kMaxLen; ++len) {
+    for (size_t align = 0; align < 8; ++align) {
+      const uint8_t* p = buf.data() + align;
+      const uint32_t want = BytewiseCrc32(p, len);
+      ASSERT_EQ(Crc32(p, len), want) << "len " << len << " align " << align;
+      // Incremental form: any split point gives the same checksum.
+      for (size_t split : {size_t{0}, size_t{1}, size_t{7}, size_t{8},
+                           size_t{9}, len / 3, len / 2, len - len / 5}) {
+        if (split > len) continue;
+        ASSERT_EQ(Crc32(p + split, len - split, Crc32(p, split)), want)
+            << "len " << len << " align " << align << " split " << split;
+      }
+    }
+  }
 }
 
 TEST_F(DurabilityTest, WalRoundTrip) {
@@ -213,6 +259,71 @@ TEST_F(DurabilityTest, SnapshotRoundTrip) {
   EXPECT_EQ(back.consumption, d.consumption);
   EXPECT_EQ(back.schedule_text, d.schedule_text);
   EXPECT_EQ(back.events, d.events);
+}
+
+// A fixed snapshot whose encoding is pinned below.
+SnapshotData PinnedSnapshot() {
+  SnapshotData d;
+  d.id = 7;
+  d.next_seq = 123457;
+  d.churn = {{true, {0, 4}}, {false, {2, 1}}, {true, {65536, 3}}};
+  for (int i = 0; i < 5; ++i) {
+    d.production.push_back(0.25 * (i + 1));
+    d.consumption.push_back(1.5 + 3.0 * i);
+  }
+  d.schedule_text = "piggy-schedule v1\nnodes 5\npush 0 4\npull 2 1\n";
+  for (uint32_t i = 0; i < 5000; ++i) {
+    d.events.push_back({i % 97, 3ull * i + 1, 3ull * i + 1 + (i % 2)});
+  }
+  return d;
+}
+
+// FNV-1a 64 of a whole file.
+uint64_t FileHash(const std::string& path, size_t* size) {
+  std::ifstream in(path, std::ios::binary);
+  std::string bytes((std::istreambuf_iterator<char>(in)),
+                    std::istreambuf_iterator<char>());
+  *size = bytes.size();
+  uint64_t h = 1469598103934665603ULL;
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+TEST_F(DurabilityTest, SnapshotEncodingIsPinned) {
+  // Size and hash of the file the original append-based encoder wrote for
+  // PinnedSnapshot(): snapshots already on disk must stay readable, and
+  // every encoder must reproduce them byte for byte.
+  constexpr size_t kPinnedSize = 100211;
+  constexpr uint64_t kPinnedHash = 0x0b41725a97536bc3ULL;
+  const SnapshotData d = PinnedSnapshot();
+  size_t size = 0;
+  ASSERT_TRUE(WriteSnapshotFile(d, Path("owned")).ok());
+  EXPECT_EQ(FileHash(Path("owned"), &size), kPinnedHash);
+  EXPECT_EQ(size, kPinnedSize);
+
+  // The shared forms a service's cut hands over encode the same bytes:
+  // events split between the owned vector and a segmented view (sealed
+  // segments + tail), the schedule text behind a shared pointer.
+  SnapshotData shared = d;
+  shared.events.assign(d.events.begin(), d.events.begin() + 100);
+  SegmentedEventLog log;
+  for (size_t i = 100; i < d.events.size(); ++i) log.Insert(d.events[i]);
+  shared.shared_events = log.Snapshot();
+  ASSERT_NE(shared.shared_events.sealed, nullptr);
+  shared.shared_schedule_text =
+      std::make_shared<const std::string>(d.schedule_text);
+  shared.schedule_text = "ignored when the shared text is set";
+  ASSERT_TRUE(WriteSnapshotFile(shared, Path("shared")).ok());
+  EXPECT_EQ(FileHash(Path("shared"), &size), kPinnedHash);
+  EXPECT_EQ(size, kPinnedSize);
+
+  SnapshotData back = ReadSnapshotFile(Path("shared")).ValueOrDie();
+  EXPECT_EQ(back.events, d.events);
+  EXPECT_EQ(back.schedule_text, d.schedule_text);
+  EXPECT_EQ(back.churn, d.churn);
 }
 
 TEST_F(DurabilityTest, SnapshotCorruptionRejected) {
@@ -468,6 +579,151 @@ TEST_F(DurabilityTest, ShardDurabilityFallsBackToOlderSnapshot) {
   ASSERT_EQ(rec.wal_records.size(), 2u);
   EXPECT_EQ(rec.wal_records[0].seq, 1u);
   EXPECT_EQ(rec.wal_records[1].seq, 2u);
+}
+
+// Which snapshot / WAL ids are on disk.
+std::vector<uint64_t> Ids(const std::string& dir, const std::string& prefix,
+                          const std::string& suffix) {
+  std::vector<uint64_t> ids;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind(prefix, 0) != 0 || name.size() <= prefix.size() + suffix.size() ||
+        name.compare(name.size() - suffix.size(), suffix.size(), suffix) != 0 ||
+        name.find(".tmp") != std::string::npos) {
+      continue;
+    }
+    ids.push_back(std::stoull(name.substr(prefix.size())));
+  }
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
+TEST_F(DurabilityTest, CutWithoutPublishRecoversFromTwoWals) {
+  Graph g = TinyGraph();
+  {
+    auto d = ShardDurability::Create(Opts(Path("shard")), g).MoveValueOrDie();
+    ASSERT_TRUE(d->WriteSnapshot(EmptySnapshot()).ok());  // snapshot 0
+    ASSERT_TRUE(d->LogShare(0, 1).ok());
+    ASSERT_TRUE(d->LogChurn(true, 1, 2).ok());
+    // The cut rotates to wal-1 at once; the publish never happens (the
+    // process dies first).
+    ShardDurability::Cut cut = d->CutSnapshot(EmptySnapshot()).MoveValueOrDie();
+    EXPECT_EQ(cut.data.id, 1u);
+    EXPECT_EQ(cut.records, 2u);
+    ASSERT_EQ(cut.data.churn.size(), 1u);
+    ASSERT_TRUE(d->LogShare(3, 2).ok());
+    // Until a publish lands, the count runs from snapshot 0's cut.
+    EXPECT_EQ(d->records_since_snapshot(), 3u);
+  }
+  EXPECT_EQ(Ids(Path("shard"), "snapshot-", ""), (std::vector<uint64_t>{0}));
+  EXPECT_EQ(Ids(Path("shard"), "wal-", ".log"), (std::vector<uint64_t>{0, 1}));
+  auto d = ShardDurability::Open(Opts(Path("shard"))).MoveValueOrDie();
+  auto rec = d->Recover().MoveValueOrDie();
+  EXPECT_EQ(rec.snapshot.id, 0u);
+  ASSERT_EQ(rec.wal_records.size(), 3u);
+  EXPECT_EQ(rec.wal_records[0].seq, 1u);
+  EXPECT_EQ(rec.wal_records[1].type, WalRecordType::kFollow);
+  EXPECT_EQ(rec.wal_records[2].seq, 2u);
+  EXPECT_FALSE(rec.torn_tail);
+}
+
+TEST_F(DurabilityTest, PublishAfterCutCountsFromTheCut) {
+  Graph g = TinyGraph();
+  auto d = ShardDurability::Create(Opts(Path("shard")), g).MoveValueOrDie();
+  ASSERT_TRUE(d->WriteSnapshot(EmptySnapshot()).ok());
+  for (uint64_t seq = 1; seq <= 4; ++seq) ASSERT_TRUE(d->LogShare(0, seq).ok());
+  ShardDurability::Cut cut = d->CutSnapshot(EmptySnapshot()).MoveValueOrDie();
+  // Appends keep flowing to wal-1 between the cut and the publish.
+  ASSERT_TRUE(d->LogShare(0, 5).ok());
+  ASSERT_TRUE(d->LogShare(0, 6).ok());
+  EXPECT_EQ(d->records_since_snapshot(), 6u);
+  ASSERT_TRUE(d->PublishSnapshot(std::move(cut)).ok());
+  EXPECT_EQ(d->records_since_snapshot(), 2u);
+  d.reset();
+
+  auto d2 = ShardDurability::Open(Opts(Path("shard"))).MoveValueOrDie();
+  auto rec = d2->Recover().MoveValueOrDie();
+  EXPECT_EQ(rec.snapshot.id, 1u);
+  ASSERT_EQ(rec.wal_records.size(), 2u);
+  EXPECT_EQ(rec.wal_records[0].seq, 5u);
+}
+
+TEST_F(DurabilityTest, SupersededCutIsDropped) {
+  Graph g = TinyGraph();
+  auto d = ShardDurability::Create(Opts(Path("shard")), g).MoveValueOrDie();
+  ASSERT_TRUE(d->WriteSnapshot(EmptySnapshot()).ok());
+  ASSERT_TRUE(d->LogShare(0, 1).ok());
+  ShardDurability::Cut older = d->CutSnapshot(EmptySnapshot()).MoveValueOrDie();
+  ASSERT_TRUE(d->LogShare(0, 2).ok());
+  ASSERT_TRUE(d->WriteSnapshot(EmptySnapshot()).ok());  // snapshot 2
+  // Publishing the older cut now would put a stale snapshot-1 on disk.
+  ASSERT_TRUE(d->PublishSnapshot(std::move(older)).ok());
+  EXPECT_EQ(Ids(Path("shard"), "snapshot-", ""), (std::vector<uint64_t>{0, 2}));
+  EXPECT_EQ(d->records_since_snapshot(), 0u);
+}
+
+TEST_F(DurabilityTest, FailedPublishNeverPrunesWal) {
+  Graph g = TinyGraph();
+  auto& fp = FailPointRegistry::Instance();
+  const std::string dir = Path("shard");
+  {
+    auto d = ShardDurability::Create(Opts(dir), g).MoveValueOrDie();
+    ASSERT_TRUE(d->WriteSnapshot(EmptySnapshot()).ok());  // snapshot 0
+    ASSERT_TRUE(d->LogShare(0, 1).ok());
+    ASSERT_TRUE(d->WriteSnapshot(EmptySnapshot()).ok());  // snapshot 1
+    ASSERT_TRUE(d->LogShare(0, 2).ok());
+    ASSERT_TRUE(d->WriteSnapshot(EmptySnapshot()).ok());  // snapshot 2
+    EXPECT_EQ(Ids(dir, "snapshot-", ""), (std::vector<uint64_t>{1, 2}));
+    EXPECT_EQ(Ids(dir, "wal-", ".log"), (std::vector<uint64_t>{1, 2}));
+    ASSERT_TRUE(d->LogShare(0, 3).ok());
+    for (const char* point : {"snapshot.write", "snapshot.rename"}) {
+      fp.Arm(point, FailPointAction::kError);
+      EXPECT_TRUE(d->WriteSnapshot(EmptySnapshot()).IsIOError()) << point;
+      fp.Disarm(point);
+      // Cut 3 and 4 rotated the WAL, but nothing was pruned.
+      EXPECT_EQ(Ids(dir, "snapshot-", ""), (std::vector<uint64_t>{1, 2}));
+      ASSERT_TRUE(d->LogShare(0, 4).ok());
+    }
+    EXPECT_EQ(Ids(dir, "wal-", ".log"), (std::vector<uint64_t>{1, 2, 3, 4}));
+    EXPECT_EQ(d->records_since_snapshot(), 3u);
+    // The retry publishes snapshot 5; snapshot 2 is the previous published
+    // one, so it and every WAL from it on stay.
+    ASSERT_TRUE(d->WriteSnapshot(EmptySnapshot()).ok());
+    EXPECT_EQ(Ids(dir, "snapshot-", ""), (std::vector<uint64_t>{2, 5}));
+    EXPECT_EQ(Ids(dir, "wal-", ".log"), (std::vector<uint64_t>{2, 3, 4, 5}));
+    ASSERT_TRUE(d->LogShare(0, 5).ok());
+  }
+  // Snapshot 5 torn: the fallback to snapshot 2 replays wal-2 .. wal-5.
+  {
+    std::fstream f(dir + "/snapshot-000005",
+                   std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(10);
+    f.put('\xff');
+  }
+  auto d = ShardDurability::Open(Opts(dir)).MoveValueOrDie();
+  auto rec = d->Recover().MoveValueOrDie();
+  EXPECT_EQ(rec.snapshot.id, 2u);
+  EXPECT_TRUE(rec.fallback);
+  std::vector<uint64_t> seqs;
+  for (const WalRecord& r : rec.wal_records) seqs.push_back(r.seq);
+  EXPECT_EQ(seqs, (std::vector<uint64_t>{3, 4, 4, 5}));
+}
+
+TEST_F(DurabilityTest, RetentionKeepsTwoPublishedSnapshots) {
+  Graph g = TinyGraph();
+  const std::string dir = Path("shard");
+  auto d = ShardDurability::Create(Opts(dir), g).MoveValueOrDie();
+  ASSERT_TRUE(d->WriteSnapshot(EmptySnapshot()).ok());
+  for (uint64_t round = 1; round <= 12; ++round) {
+    ASSERT_TRUE(d->LogShare(0, round).ok());
+    ShardDurability::Cut cut = d->CutSnapshot(EmptySnapshot()).MoveValueOrDie();
+    ASSERT_TRUE(d->LogShare(1, round).ok());
+    ASSERT_TRUE(d->PublishSnapshot(std::move(cut)).ok());
+    EXPECT_EQ(Ids(dir, "snapshot-", ""),
+              (std::vector<uint64_t>{round - 1, round}));
+    EXPECT_EQ(Ids(dir, "wal-", ".log"),
+              (std::vector<uint64_t>{round - 1, round}));
+  }
 }
 
 }  // namespace

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "core/baselines.h"
 #include "core/parallel_nosy.h"
 #include "gen/presets.h"
+#include "store/event_log.h"
 #include "store/prototype.h"
 #include "store/workload_driver.h"
 #include "workload/workload.h"
@@ -193,6 +197,56 @@ TEST(PrototypeTest, TrimmingKeepsSoundness) {
     }
   }
   EXPECT_GT(sys.prototype->TotalTrimmedEvents(), 0u);
+}
+
+TEST(SegmentedEventLogTest, KeepsShareOrderAcrossSegments) {
+  constexpr size_t kSeg = SegmentedEventLog::kSegmentEvents;
+  SegmentedEventLog log;
+  std::vector<EventTuple> want;
+  // Even timestamps in order, then odd ones delivered late: each lands at
+  // its sorted position, in the tail or (copy-on-write) in a sealed segment.
+  for (uint64_t t = 2; t <= 2 * (3 * kSeg); t += 2) {
+    log.Insert({static_cast<NodeId>(t % 13), t, t});
+  }
+  const SegmentedEventLog::View before = log.Snapshot();
+  const std::vector<EventTuple> before_events = before.Flatten();
+  ASSERT_EQ(before.size(), 3 * kSeg);
+  ASSERT_NE(before.sealed, nullptr);
+  EXPECT_EQ(before.sealed->size(), 3u);
+  for (uint64_t t : {uint64_t{1}, uint64_t{2 * kSeg + 1}, uint64_t{6 * kSeg - 1},
+                     uint64_t{4 * kSeg + 3}}) {
+    log.Insert({static_cast<NodeId>(t % 13), t, t});
+  }
+  for (uint64_t t = 2; t <= 2 * (3 * kSeg); t += 2) {
+    want.push_back({static_cast<NodeId>(t % 13), t, t});
+  }
+  for (uint64_t t : {uint64_t{1}, uint64_t{2 * kSeg + 1}, uint64_t{6 * kSeg - 1},
+                     uint64_t{4 * kSeg + 3}}) {
+    want.push_back({static_cast<NodeId>(t % 13), t, t});
+  }
+  std::sort(want.begin(), want.end(),
+            [](const EventTuple& a, const EventTuple& b) { return NewerThan(b, a); });
+  EXPECT_EQ(log.Snapshot().Flatten(), want);
+  EXPECT_EQ(log.size(), want.size());
+  // The earlier view is untouched by the late inserts.
+  EXPECT_EQ(before.Flatten(), before_events);
+
+  SegmentedEventLog copy;
+  copy.Assign(want);
+  EXPECT_EQ(copy.Snapshot().Flatten(), want);
+  copy.Insert({1, 6 * kSeg + 2, 6 * kSeg + 2});
+  want.push_back({1, 6 * kSeg + 2, 6 * kSeg + 2});
+  EXPECT_EQ(copy.Snapshot().Flatten(), want);
+}
+
+TEST(PrototypeTest, EventLogViewMatchesCopy) {
+  SmallSystem sys(4);
+  for (NodeId u = 0; u < 300; ++u) sys.prototype->ShareEvent(u % 50);
+  const SegmentedEventLog::View view = sys.prototype->EventLogView();
+  EXPECT_EQ(view.Flatten(), sys.prototype->EventLog());
+  sys.prototype->ShareEvent(3);
+  EXPECT_EQ(view.size(), 300u);
+  EXPECT_EQ(sys.prototype->EventLog().size(), 301u);
 }
 
 }  // namespace

@@ -6,10 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cluster/cluster_service.h"
@@ -260,6 +263,149 @@ TEST_F(RecoveryTest, FeedServiceKillAndRecoverStorm) {
     EXPECT_TRUE(back->Validate().ok());
     ExpectAckedStateRecovered(*back, *oracle, n, ops, in_doubt);
   }
+}
+
+// Request-path snapshots publish on a background writer; these tests hold
+// that writer at a FailPoint to pin down what happens around it.
+constexpr auto kParkTimeout = std::chrono::seconds(30);
+
+TEST_F(RecoveryTest, FeedServiceServesWhilePublishIsHeld) {
+  const size_t n = 150;
+  Graph g = MakeFlickrLike(n, 9).ValueOrDie();
+  Workload w = GenerateWorkload(g, {.min_rate = 0.05}).ValueOrDie();
+  FeedServiceOptions opts = ServiceOpts(Dir("svc"));
+  opts.durability.snapshot_every = 50;
+  auto& fp = FailPointRegistry::Instance();
+  const obs::Counter* rotations = nullptr;
+
+  std::vector<std::vector<EventTuple>> before;
+  {
+    auto svc = FeedService::Create(g, w, opts).MoveValueOrDie();
+    rotations = svc->registry().FindCounter("wal.rotations");
+    ASSERT_NE(rotations, nullptr);
+    EXPECT_EQ(rotations->Value(), 1u);  // snapshot 0 at create
+    fp.Hold("snapshot.write");
+    // The 50th share crosses the threshold: it cuts (wal-1) and hands the
+    // publish to the writer, which parks at the FailPoint.
+    for (NodeId u = 0; u < 50; ++u) ASSERT_TRUE(svc->Share(u % n).ok());
+    ASSERT_TRUE(fp.WaitUntilParked("snapshot.write", kParkTimeout));
+    EXPECT_EQ(rotations->Value(), 2u);
+    // Shares and queries complete while the publish is held. The count
+    // crosses the threshold twice more: those cuts are deferred (no wal-2),
+    // not queued behind the held one.
+    for (size_t i = 0; i < 120; ++i) {
+      ASSERT_TRUE(svc->Share(static_cast<NodeId>((i * 7) % n)).ok());
+      ASSERT_TRUE(svc->QueryStream(static_cast<NodeId>(i % n)).ok());
+    }
+    EXPECT_EQ(rotations->Value(), 2u);
+    EXPECT_TRUE(std::filesystem::exists(Dir("svc") + "/wal-000001.log"));
+    EXPECT_FALSE(std::filesystem::exists(Dir("svc") + "/wal-000002.log"));
+    EXPECT_FALSE(std::filesystem::exists(Dir("svc") + "/snapshot-000001"));
+    fp.Release("snapshot.write");
+    ASSERT_TRUE(svc->WaitForSnapshotPublish().ok());
+    EXPECT_TRUE(std::filesystem::exists(Dir("svc") + "/snapshot-000001"));
+    // The first request after the publish landed serves the deferred cut.
+    ASSERT_TRUE(svc->Share(1).ok());
+    ASSERT_TRUE(svc->WaitForSnapshotPublish().ok());
+    EXPECT_EQ(rotations->Value(), 3u);
+    EXPECT_TRUE(std::filesystem::exists(Dir("svc") + "/snapshot-000002"));
+    before = AllFeeds(*svc, n);
+  }
+  RecoveryStats stats;
+  auto back = FeedService::Recover(opts, &stats).MoveValueOrDie();
+  EXPECT_EQ(stats.snapshot_id, 2u);
+  EXPECT_EQ(stats.wal_records, 0u);
+  EXPECT_EQ(AllFeeds(*back, n), before);
+}
+
+TEST_F(RecoveryTest, FeedServiceCrashDuringPublishRecoversAckedPrefix) {
+  const size_t n = 150;
+  Graph g = MakeFlickrLike(n, 13).ValueOrDie();
+  Workload w = GenerateWorkload(g, {.min_rate = 0.05}).ValueOrDie();
+  auto ops = MakeStorm(n, 400, 41);
+  auto& fp = FailPointRegistry::Instance();
+
+  for (const char* point : {"snapshot.write", "snapshot.rename"}) {
+    SCOPED_TRACE(point);
+    fp.ClearAll();
+    const std::string dir = Dir(std::string("crash-") + point);
+    FeedServiceOptions opts = ServiceOpts(dir);
+    opts.durability.snapshot_every = 40;
+    FeedServiceOptions mem;
+    mem.prototype = opts.prototype;
+    auto svc = FeedService::Create(g, w, opts).MoveValueOrDie();
+    auto oracle = FeedService::Create(g, w, mem).MoveValueOrDie();
+
+    // Run until the writer parks on the first request-path publish, then
+    // keep acking ops into wal-1 while it is held.
+    fp.Hold(point);
+    fp.Arm(point, FailPointAction::kCrashHard);
+    size_t i = 0;
+    bool parked = false;
+    for (; i < ops.size() && !parked; ++i) {
+      ASSERT_TRUE(ApplyOp(*svc, ops[i]).ok()) << "op " << i;
+      ASSERT_TRUE(ApplyOp(*oracle, ops[i]).ok());
+      parked = fp.WaitUntilParked(point, std::chrono::milliseconds(0));
+    }
+    ASSERT_TRUE(fp.WaitUntilParked(point, kParkTimeout));
+    for (size_t k = 0; k < 30 && i < ops.size(); ++k, ++i) {
+      ASSERT_TRUE(ApplyOp(*svc, ops[i]).ok()) << "op " << i;
+      ASSERT_TRUE(ApplyOp(*oracle, ops[i]).ok());
+    }
+    // The crash fires in the writer: snapshot-1 never lands.
+    fp.Release(point);
+    EXPECT_TRUE(svc->WaitForSnapshotPublish().IsIOError());
+    svc.reset();
+    fp.ClearAll();
+    EXPECT_FALSE(std::filesystem::exists(dir + "/snapshot-000001"));
+
+    RecoveryStats stats;
+    auto back = FeedService::Recover(opts, &stats).MoveValueOrDie();
+    EXPECT_EQ(stats.snapshot_id, 0u);
+    EXPECT_TRUE(std::filesystem::exists(dir + "/wal-000000.log"));
+    EXPECT_TRUE(std::filesystem::exists(dir + "/wal-000001.log"));
+    EXPECT_GT(stats.wal_records, 40u);
+    EXPECT_TRUE(back->Validate().ok());
+    // Exactly the acked ops: nothing was in doubt when the crash fired.
+    EXPECT_EQ(AllFeeds(*back, n), AllFeeds(*oracle, n));
+  }
+}
+
+TEST_F(RecoveryTest, FeedServiceConcurrentWritersAcrossBackgroundPublishes) {
+  const size_t n = 150;
+  Graph g = MakeFlickrLike(n, 17).ValueOrDie();
+  Workload w = GenerateWorkload(g, {.min_rate = 0.05}).ValueOrDie();
+  FeedServiceOptions opts = ServiceOpts(Dir("svc"));
+  opts.durability.snapshot_every = 40;
+  constexpr size_t kThreads = 4;
+  constexpr size_t kOpsPerThread = 400;
+
+  std::vector<std::vector<EventTuple>> before;
+  {
+    auto svc = FeedService::Create(g, w, opts).MoveValueOrDie();
+    std::vector<std::thread> clients;
+    std::atomic<size_t> failures{0};
+    for (size_t t = 0; t < kThreads; ++t) {
+      clients.emplace_back([&, t] {
+        for (size_t i = 0; i < kOpsPerThread; ++i) {
+          const NodeId u = static_cast<NodeId>((t * 37 + i * 11) % n);
+          if (!svc->Share(u).ok()) failures.fetch_add(1);
+          if (!svc->QueryStream(u).ok()) failures.fetch_add(1);
+        }
+      });
+    }
+    for (std::thread& c : clients) c.join();
+    EXPECT_EQ(failures.load(), 0u);
+    EXPECT_TRUE(svc->WaitForSnapshotPublish().ok());
+    const obs::Counter* rotations = svc->registry().FindCounter("wal.rotations");
+    ASSERT_NE(rotations, nullptr);
+    EXPECT_GE(rotations->Value(), 2u);  // create + at least one request-path cut
+    before = AllFeeds(*svc, n);
+  }
+  RecoveryStats stats;
+  auto back = FeedService::Recover(opts, &stats).MoveValueOrDie();
+  EXPECT_GT(stats.snapshot_id, 0u);
+  EXPECT_EQ(AllFeeds(*back, n), before);
 }
 
 ClusterOptions ClusterOpts(const std::string& data_dir) {
