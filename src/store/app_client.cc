@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <utility>
@@ -74,6 +75,13 @@ AppClient::AppClient(const Graph& graph, const Schedule& schedule,
     }
   }
 
+  // The placement is fixed for this client's lifetime: group every request's
+  // views by server once, here, instead of per request.
+  std::vector<uint32_t> server_of(n);
+  for (NodeId v = 0; v < n; ++v) server_of[v] = partitioner_->ServerOf(v);
+  push_batches_ = BatchPlan::Build(push_views_, server_of, servers_->size());
+  pull_batches_ = BatchPlan::Build(pull_views_, server_of, servers_->size());
+
   if (layout_ == GraphLayout::kCompressed) {
     interest_compressed_ = CompressedLists::FromLists(interest_);
     interest_ = {};  // keep only the compressed form resident
@@ -87,37 +95,64 @@ AppClient::AppClient(const Graph& graph, const Schedule& schedule,
   }
 }
 
-std::vector<AppClient::ServerBatch> AppClient::GroupByServer(
-    std::span<const NodeId> views) const {
-  // Per-call scratch so concurrent requests never share grouping state.
-  std::vector<std::pair<uint32_t, NodeId>> placed;
-  placed.reserve(views.size());
-  for (NodeId view : views) {
-    placed.emplace_back(partitioner_->ServerOf(view), view);
-  }
-  std::stable_sort(placed.begin(), placed.end(),
-                   [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::vector<ServerBatch> batches;
-  for (size_t i = 0; i < placed.size();) {
-    ServerBatch batch;
-    batch.server = placed[i].first;
-    while (i < placed.size() && placed[i].first == batch.server) {
-      batch.views.push_back(placed[i].second);
-      ++i;
+AppClient::BatchPlan AppClient::BatchPlan::Build(
+    const std::vector<std::vector<NodeId>>& lists, const std::vector<uint32_t>& server_of,
+    size_t num_servers) {
+  BatchPlan plan;
+  size_t total = 0;
+  for (const std::vector<NodeId>& list : lists) total += list.size();
+  PIGGY_CHECK_LE(total, size_t{UINT32_MAX});
+  plan.views.resize(total);
+  plan.batches.reserve(total);  // at most one batch per view
+  plan.first.reserve(lists.size() + 1);
+  plan.first.push_back(0);
+  // A stable counting sort of each list by server: count the views per
+  // server, marking each touched server in a bitmap; walk the marked
+  // servers in ascending order to turn the counts into write cursors; then
+  // place the views in list order. The walk covers only the bitmap words
+  // between the lowest and highest touched server, and only touched
+  // servers are reset, so the cost follows the list, not the fleet.
+  std::vector<uint32_t> cursor(num_servers, 0);
+  std::vector<uint64_t> touched((num_servers + 63) / 64, 0);
+  uint32_t pos = 0;
+  for (const std::vector<NodeId>& list : lists) {
+    const size_t first_batch = plan.batches.size();
+    size_t lo = touched.size();
+    size_t hi = 0;
+    for (NodeId v : list) {
+      const uint32_t server = server_of[v];
+      if (cursor[server]++ == 0) {
+        touched[server / 64] |= uint64_t{1} << (server % 64);
+        lo = std::min<size_t>(lo, server / 64);
+        hi = std::max<size_t>(hi, server / 64);
+      }
     }
-    batches.push_back(std::move(batch));
+    for (size_t w = lo; w <= hi; ++w) {
+      for (uint64_t bits = std::exchange(touched[w], 0); bits != 0; bits &= bits - 1) {
+        const uint32_t server = static_cast<uint32_t>(w * 64 + std::countr_zero(bits));
+        const uint32_t count = cursor[server];
+        plan.batches.push_back({server, pos, pos + count});
+        cursor[server] = pos;
+        pos += count;
+      }
+    }
+    for (NodeId v : list) plan.views[cursor[server_of[v]]++] = v;
+    for (size_t b = first_batch; b < plan.batches.size(); ++b) {
+      cursor[plan.batches[b].server] = 0;
+    }
+    plan.first.push_back(static_cast<uint32_t>(plan.batches.size()));
   }
-  return batches;
+  return plan;
 }
 
 void AppClient::ShareEvent(NodeId u, uint64_t event_id, uint64_t timestamp) {
   PIGGY_CHECK_LT(u, push_views_.size());
   share_requests_.fetch_add(1, std::memory_order_relaxed);
-  EventTuple event{u, event_id, timestamp};
-  for (const ServerBatch& batch : GroupByServer(push_views_[u])) {
-    (*servers_)[batch.server].UpdateBatch(batch.views, event);
-    update_messages_.fetch_add(1, std::memory_order_relaxed);
-  }
+  const EventTuple event{u, event_id, timestamp};
+  push_batches_.ForEach(u, [&](uint32_t server, std::span<const NodeId> views) {
+    (*servers_)[server].UpdateBatch(views, event);
+  });
+  update_messages_.fetch_add(push_batches_.NumBatches(u), std::memory_order_relaxed);
 }
 
 std::vector<EventTuple> AppClient::QueryStream(NodeId u) {
@@ -127,10 +162,11 @@ std::vector<EventTuple> AppClient::QueryStream(NodeId u) {
   // never materialize the interest span. Filtered users under the compressed
   // layout decode it into scratch — the trade the layout option makes: a
   // varint walk per filtered query for a fraction of the resident bytes.
-  // Flat layout serves the stored list directly. The scratch is
-  // thread_local, not per-call: a malloc per query would dominate the decode
-  // itself at million-user scale, and each serving thread owning one buffer
-  // keeps concurrent queries race-free (the span never escapes this call).
+  // Flat layout serves the stored list directly. The scratch (and the merge
+  // buffer below) is thread_local, not per-call: a malloc per query would
+  // dominate the decode itself at million-user scale, and each serving
+  // thread owning one buffer keeps concurrent queries race-free (neither
+  // escapes this call; the result is a copy).
   const bool filtered = filter_free_[u] == 0;
   static thread_local std::vector<NodeId> scratch;
   std::span<const NodeId> interest;
@@ -142,16 +178,17 @@ std::vector<EventTuple> AppClient::QueryStream(NodeId u) {
       interest = interest_[u];
     }
   }
-  std::vector<EventTuple> merged;
-  for (const ServerBatch& batch : GroupByServer(pull_views_[u])) {
-    ViewStore& server = (*servers_)[batch.server];
-    std::vector<EventTuple> part =
-        filtered ? server.QueryBatch(batch.views, interest, feed_size_)
-                 : server.QueryBatch(batch.views, feed_size_);
+  static thread_local std::vector<EventTuple> merged;
+  merged.clear();
+  pull_batches_.ForEach(u, [&](uint32_t server, std::span<const NodeId> views) {
+    ViewStore& store = (*servers_)[server];
+    std::vector<EventTuple> part = filtered ? store.QueryBatch(views, interest, feed_size_)
+                                            : store.QueryBatch(views, feed_size_);
     merged.insert(merged.end(), part.begin(), part.end());
-    query_messages_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return TopKNewest(std::move(merged), feed_size_);
+  });
+  query_messages_.fetch_add(pull_batches_.NumBatches(u), std::memory_order_relaxed);
+  KeepTopKNewest(&merged, feed_size_);
+  return merged;
 }
 
 }  // namespace piggy

@@ -9,12 +9,13 @@
 //                 into the 10 latest events (the generic `filter`).
 //
 // Push and pull sets come from the request schedule; the client logic is
-// schedule-agnostic exactly as the paper stresses.
+// schedule-agnostic exactly as the paper stresses. The schedule and the
+// placement are fixed for a client's lifetime, so each user's per-server
+// message batches are computed once, at construction.
 //
-// Thread safety: the materialized view lists are immutable after
-// construction, request grouping uses per-call scratch, and the counters are
-// relaxed atomics — ShareEvent / QueryStream may be called from any number
-// of threads concurrently.
+// Thread safety: the materialized view lists and batches are immutable after
+// construction and the counters are relaxed atomics — ShareEvent /
+// QueryStream may be called from any number of threads concurrently.
 
 #pragma once
 
@@ -87,6 +88,19 @@ class AppClient {
   /// The views read on u's queries (own view first).
   std::span<const NodeId> PullViews(NodeId u) const { return pull_views_[u]; }
 
+  /// Calls fn(server, views) for every update message a share by u sends, in
+  /// send order: PushViews(u) grouped by hosting server, ascending server,
+  /// list order within a server.
+  template <typename F>
+  void ForEachPushBatch(NodeId u, F fn) const {
+    push_batches_.ForEach(u, fn);
+  }
+  /// The same for the query messages of u's queries (over PullViews(u)).
+  template <typename F>
+  void ForEachPullBatch(NodeId u, F fn) const {
+    pull_batches_.ForEach(u, fn);
+  }
+
   /// True when u's queries skip the interest filter entirely: the schedule
   /// guarantees every producer that can land in u's pulled views is already
   /// in u's interest set (precomputed at construction).
@@ -111,7 +125,7 @@ class AppClient {
   std::vector<std::vector<NodeId>> pull_views_;
   // interest[u] = sorted {u} ∪ followees(u); the query-side filter. Stored
   // flat (interest_) or delta-varint compressed (interest_compressed_,
-  // decoded into per-call scratch on queries) per layout_.
+  // decoded into per-thread scratch on queries) per layout_.
   GraphLayout layout_;
   std::vector<std::vector<NodeId>> interest_;
   CompressedLists interest_compressed_;
@@ -128,12 +142,33 @@ class AppClient {
   std::atomic<uint64_t> update_messages_{0};
   std::atomic<uint64_t> query_messages_{0};
 
-  // (server, views...) runs for one request, built in per-call scratch.
-  struct ServerBatch {
-    uint32_t server;
+  // Every user's view list regrouped into per-server message batches, in
+  // CSR form: user u's batches are batches[first[u], first[u + 1]) and batch
+  // b carries views[b.begin, b.end). Immutable after construction.
+  struct BatchPlan {
+    struct Batch {
+      uint32_t server;
+      uint32_t begin;
+      uint32_t end;
+    };
     std::vector<NodeId> views;
+    std::vector<Batch> batches;
+    std::vector<uint32_t> first;
+
+    static BatchPlan Build(const std::vector<std::vector<NodeId>>& lists,
+                           const std::vector<uint32_t>& server_of, size_t num_servers);
+    size_t NumBatches(NodeId u) const { return first[u + 1] - first[u]; }
+    template <typename F>
+    void ForEach(NodeId u, F&& fn) const {
+      for (uint32_t b = first[u]; b < first[u + 1]; ++b) {
+        const Batch& batch = batches[b];
+        fn(batch.server, std::span<const NodeId>(views.data() + batch.begin,
+                                                 batch.end - batch.begin));
+      }
+    }
   };
-  std::vector<ServerBatch> GroupByServer(std::span<const NodeId> views) const;
+  BatchPlan push_batches_;
+  BatchPlan pull_batches_;
 };
 
 }  // namespace piggy

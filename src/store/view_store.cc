@@ -17,12 +17,16 @@ static_assert(sizeof(EventTuple) == 24, "EventTuple layout drives the key stride
 static_assert(offsetof(EventTuple, producer) == 0,
               "producer must be the leading key word");
 
-std::vector<EventTuple> TopKNewest(std::vector<EventTuple> events, size_t k) {
-  std::sort(events.begin(), events.end(), NewerThan);
+void KeepTopKNewest(std::vector<EventTuple>* events, size_t k) {
+  std::sort(events->begin(), events->end(), NewerThan);
   // The same event can arrive from several views (e.g. two hubs both storing
   // a producer's events); streams have set semantics, so drop duplicates.
-  events.erase(std::unique(events.begin(), events.end()), events.end());
-  if (events.size() > k) events.resize(k);
+  events->erase(std::unique(events->begin(), events->end()), events->end());
+  if (events->size() > k) events->resize(k);
+}
+
+std::vector<EventTuple> TopKNewest(std::vector<EventTuple> events, size_t k) {
+  KeepTopKNewest(&events, k);
   return events;
 }
 
@@ -30,71 +34,110 @@ void ViewStore::UpdateBatch(std::span<const NodeId> views, const EventTuple& eve
   std::lock_guard<std::mutex> lock(*mu_);
   ++metrics_.update_messages;
   for (NodeId owner : views) {
-    std::vector<EventTuple>* view = views_.Find(owner);
+    View* view = views_.Find(owner);
     if (view == nullptr) {
-      views_.Put(owner, {event});
+      views_.Put(owner, View{{event}, 0});
     } else {
-      // Oldest-first order; concurrent writers may deliver slightly stale
-      // timestamps, so walk back from the tail to the sorted slot (one step
-      // at most in the common case).
-      auto pos = view->end();
-      while (pos != view->begin() && NewerThan(*(pos - 1), event)) --pos;
-      view->insert(pos, event);
-      if (view_capacity_ > 0 && view->size() > view_capacity_) {
-        // Sorted oldest-first, so the front is the oldest.
-        view->erase(view->begin());
-        ++metrics_.trimmed_events;
-      }
+      Write(view, event);
     }
     ++metrics_.view_writes;
   }
 }
 
+void ViewStore::Write(View* view, const EventTuple& event) {
+  std::vector<EventTuple>& slots = view->slots;
+  const size_t n = slots.size();
+  if (view_capacity_ == 0 || n < view_capacity_) {
+    // Still growing: a sorted vector. Concurrent writers may deliver slightly
+    // stale timestamps, so walk back from the tail to the sorted slot (one
+    // step at most in the common case). Growth stops at the capacity.
+    if (view_capacity_ > 0 && n == slots.capacity()) {
+      slots.reserve(std::min(view_capacity_, 2 * n));
+    }
+    auto pos = slots.end();
+    while (pos != slots.begin() && NewerThan(*(pos - 1), event)) --pos;
+    slots.insert(pos, event);
+    return;
+  }
+  // Full ring: the write drops the oldest event, either `event` itself or
+  // the one at slots[head].
+  ++metrics_.trimmed_events;
+  const size_t head = view->head;
+  if (NewerThan(slots[head], event)) return;  // older than the oldest
+  auto at = [&](size_t logical) {
+    const size_t i = head + logical;
+    return i < n ? i : i - n;
+  };
+  // The ring advances by one, so logical slot n is the old oldest's. Events
+  // newer than `event` move up one slot while walking back to its position;
+  // the walk stops at logical 1 because slots[head] is not newer.
+  size_t pos = n;
+  while (pos > 1 && NewerThan(slots[at(pos - 1)], event)) {
+    slots[at(pos)] = slots[at(pos - 1)];
+    --pos;
+  }
+  slots[at(pos)] = event;
+  view->head = at(1);
+}
+
+std::vector<EventTuple> ViewStore::Query(std::span<const NodeId> views,
+                                         std::span<const NodeId> interest,
+                                         bool filtered, size_t k) {
+  std::lock_guard<std::mutex> lock(*mu_);
+  ++metrics_.query_messages;
+  candidates_.clear();
+  for (NodeId owner : views) {
+    ++metrics_.view_reads;
+    const View* view = views_.Find(owner);
+    if (view == nullptr) continue;
+    // Each view contributes at most k events, newest-first: the two
+    // contiguous segments slots[0, head) then slots[head, n), each scanned
+    // from its end.
+    const EventTuple* slots = view->slots.data();
+    const size_t n = view->slots.size();
+    const size_t head = view->head;
+    size_t taken = 0;
+    for (auto [begin, end] : {std::pair{size_t{0}, head}, std::pair{head, n}}) {
+      if (taken == k || begin == end) continue;
+      if (!filtered) {
+        for (size_t r = end; r > begin && taken < k; --r, ++taken) {
+          candidates_.push_back(slots[r - 1]);
+        }
+        continue;
+      }
+      // Vectorized interest scan; indices come back in descending order.
+      sel_.clear();
+      simd::SelectKeyedNewestInto(reinterpret_cast<const uint32_t*>(slots + begin),
+                                  sizeof(EventTuple) / sizeof(uint32_t), end - begin,
+                                  interest, k - taken, &sel_);
+      for (uint32_t r : sel_) candidates_.push_back(slots[begin + r]);
+      taken += sel_.size();
+    }
+  }
+  KeepTopKNewest(&candidates_, k);
+  return candidates_;
+}
+
 std::vector<EventTuple> ViewStore::QueryBatch(std::span<const NodeId> views,
                                               std::span<const NodeId> interest,
                                               size_t k) {
-  std::lock_guard<std::mutex> lock(*mu_);
-  ++metrics_.query_messages;
-  std::vector<EventTuple> candidates;
-  std::vector<uint32_t> sel;
-  for (NodeId owner : views) {
-    ++metrics_.view_reads;
-    const std::vector<EventTuple>* view = views_.Find(owner);
-    if (view == nullptr) continue;
-    // Newest-first interest scan, vectorized: each view contributes at most k
-    // matching events; indices come back in descending (newest-first) order.
-    sel.clear();
-    simd::SelectKeyedNewestInto(reinterpret_cast<const uint32_t*>(view->data()),
-                                sizeof(EventTuple) / sizeof(uint32_t), view->size(),
-                                interest, k, &sel);
-    for (uint32_t r : sel) candidates.push_back((*view)[r]);
-  }
-  return TopKNewest(std::move(candidates), k);
+  return Query(views, interest, /*filtered=*/true, k);
 }
 
 std::vector<EventTuple> ViewStore::QueryBatch(std::span<const NodeId> views,
                                               size_t k) {
-  std::lock_guard<std::mutex> lock(*mu_);
-  ++metrics_.query_messages;
-  std::vector<EventTuple> candidates;
-  for (NodeId owner : views) {
-    ++metrics_.view_reads;
-    const std::vector<EventTuple>* view = views_.Find(owner);
-    if (view == nullptr) continue;
-    // Views are sorted oldest-first, so the newest k are the tail; emit in
-    // descending record order to mirror the filtered scan exactly.
-    const size_t take = std::min(k, view->size());
-    for (size_t r = view->size(); r > view->size() - take; --r) {
-      candidates.push_back((*view)[r - 1]);
-    }
-  }
-  return TopKNewest(std::move(candidates), k);
+  return Query(views, {}, /*filtered=*/false, k);
 }
 
 std::vector<EventTuple> ViewStore::ReadView(NodeId owner) const {
   std::lock_guard<std::mutex> lock(*mu_);
-  const std::vector<EventTuple>* view = views_.Find(owner);
-  return view ? *view : std::vector<EventTuple>{};
+  const View* view = views_.Find(owner);
+  if (view == nullptr) return {};
+  // Oldest-first: the ring's tail segment, then its head segment.
+  const auto oldest = view->slots.begin() + static_cast<std::ptrdiff_t>(view->head);
+  std::vector<EventTuple> out(oldest, view->slots.end());
+  out.insert(out.end(), view->slots.begin(), oldest);
+  return out;
 }
 
 }  // namespace piggy

@@ -6,11 +6,18 @@
 // event-stream *index*; rendering (texts, pictures) is out of scope exactly
 // as in the paper.
 //
-// Thread safety: each server guards its views and counters with one internal
-// mutex, so concurrent UpdateBatch / QueryBatch calls from many client
-// threads are safe and contention is per-server (the fleet is the stripe
-// set). Events may arrive slightly out of timestamp order under concurrency;
-// UpdateBatch inserts in sorted position (near the tail in practice).
+// A capped view is a ring: it grows like a vector up to `view_capacity`
+// events, then each write overwrites the oldest slot, so an in-order write
+// is O(1) whatever the capacity (a late one moves only the newer events).
+// Contents and counters are exactly those of "insert in sorted position,
+// then drop the oldest".
+//
+// Thread safety: each server guards its views, counters and query scratch
+// with one internal mutex, so concurrent UpdateBatch / QueryBatch calls from
+// many client threads are safe and contention is per-server (the fleet is
+// the stripe set). Events may arrive slightly out of timestamp order under
+// concurrency; UpdateBatch walks back from the newest slot to the sorted
+// position (near the tail in practice).
 
 #pragma once
 
@@ -63,7 +70,9 @@ class ViewStore {
   /// Applies one batched update message: inserts `event` into every view in
   /// `views` (all hosted here). Events usually arrive in nondecreasing
   /// timestamp order; concurrent clients may invert neighbours, so the
-  /// insert walks back from the tail to the sorted position.
+  /// insert walks back from the tail to the sorted position. Into a full
+  /// view the write replaces the oldest event, and an event older than the
+  /// oldest is dropped (both count as trimmed).
   void UpdateBatch(std::span<const NodeId> views, const EventTuple& event);
 
   /// Applies one batched query message: returns the `k` newest events across
@@ -80,7 +89,8 @@ class ViewStore {
   /// the filtered overload without touching the interest set at all.
   std::vector<EventTuple> QueryBatch(std::span<const NodeId> views, size_t k);
 
-  /// Direct read of a full view (tests / audits). Empty if absent.
+  /// Direct read of a full view, oldest-first (tests / audits). Empty if
+  /// absent.
   std::vector<EventTuple> ReadView(NodeId owner) const;
 
   size_t num_views() const {
@@ -103,10 +113,30 @@ class ViewStore {
   // One mutex per server: the fleet is the concurrency stripe set. Boxed so
   // ViewStore stays movable (the fleet lives in a std::vector).
   std::unique_ptr<std::mutex> mu_;
-  // Views keyed by owner id; events stored oldest-first (append order).
-  U64Map<std::vector<EventTuple>> views_;
+  // One view. Until it holds view_capacity_ events `slots` is sorted
+  // oldest-first and `head` is 0; from then on it is a full ring whose
+  // oldest event sits at slots[head] (logical event i at slots[(head + i) %
+  // size]). Unbounded views never wrap.
+  struct View {
+    std::vector<EventTuple> slots;
+    size_t head = 0;
+  };
+  void Write(View* view, const EventTuple& event);
+  // Both QueryBatch overloads; `interest` is ignored unless `filtered`.
+  std::vector<EventTuple> Query(std::span<const NodeId> views,
+                                std::span<const NodeId> interest, bool filtered,
+                                size_t k);
+
+  U64Map<View> views_;
   ServerMetrics metrics_;
+  // Query scratch reused across calls (guarded by mu_).
+  std::vector<uint32_t> sel_;
+  std::vector<EventTuple> candidates_;
 };
+
+/// Sorts `events` newest-first, drops duplicates and keeps the `k` newest, in
+/// place (the buffer keeps its capacity).
+void KeepTopKNewest(std::vector<EventTuple>* events, size_t k);
 
 /// Merges candidate lists and keeps the `k` newest (helper shared with the
 /// client-side merge).

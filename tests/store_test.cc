@@ -1,11 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <utility>
+#include <vector>
+
 #include "graph/graph_builder.h"
 #include "core/baselines.h"
+#include "core/chitchat.h"
 #include "gen/generators.h"
 #include "store/app_client.h"
 #include "store/partitioner.h"
 #include "store/view_store.h"
+#include "util/rng.h"
 #include "workload/workload.h"
 
 namespace piggy {
@@ -158,6 +165,124 @@ TEST(ViewStoreTest, UnfilteredQueryMatchesFilteredWithSupersetInterest) {
   EXPECT_EQ(store.metrics().view_reads, 6u);
 }
 
+// The pre-ring view store: sorted vectors, insert in sorted position, then
+// erase the front past the capacity. The ring must match it exactly.
+class ReferenceViewStore {
+ public:
+  explicit ReferenceViewStore(size_t capacity) : capacity_(capacity) {}
+
+  void UpdateBatch(const std::vector<NodeId>& views, const EventTuple& event) {
+    for (NodeId owner : views) {
+      std::vector<EventTuple>& view = views_[owner];
+      auto pos = view.end();
+      while (pos != view.begin() && NewerThan(*(pos - 1), event)) --pos;
+      view.insert(pos, event);
+      if (capacity_ > 0 && view.size() > capacity_) {
+        view.erase(view.begin());
+        ++trimmed_events;
+      }
+      ++view_writes;
+    }
+  }
+
+  std::vector<EventTuple> QueryBatch(const std::vector<NodeId>& views,
+                                     const std::vector<NodeId>* interest, size_t k) const {
+    std::vector<EventTuple> candidates;
+    for (NodeId owner : views) {
+      auto it = views_.find(owner);
+      if (it == views_.end()) continue;
+      size_t taken = 0;
+      for (auto e = it->second.rbegin(); e != it->second.rend() && taken < k; ++e) {
+        if (interest == nullptr ||
+            std::binary_search(interest->begin(), interest->end(), e->producer)) {
+          candidates.push_back(*e);
+          ++taken;
+        }
+      }
+    }
+    return TopKNewest(std::move(candidates), k);
+  }
+
+  std::vector<EventTuple> ReadView(NodeId owner) const {
+    auto it = views_.find(owner);
+    return it == views_.end() ? std::vector<EventTuple>{} : it->second;
+  }
+
+  uint64_t view_writes = 0;
+  uint64_t trimmed_events = 0;
+
+ private:
+  size_t capacity_;
+  std::map<NodeId, std::vector<EventTuple>> views_;
+};
+
+TEST(ViewStoreTest, RingMatchesInsertThenEraseReference) {
+  constexpr NodeId kViews = 4;      // view owners 0..3; 9 is never written
+  constexpr NodeId kProducers = 8;
+  for (size_t capacity : {size_t{0}, size_t{1}, size_t{2}, size_t{3}, size_t{128}}) {
+    SCOPED_TRACE(testing::Message() << "capacity " << capacity);
+    Rng rng(1000 + capacity);
+    ViewStore ring(0, capacity);
+    ReferenceViewStore ref(capacity);
+    uint64_t clock = 100;
+    uint64_t next_id = 1;
+    std::vector<EventTuple> written;
+    // Enough writes to wrap every view's ring several times, so the scans
+    // below run at every head offset.
+    const int ops = capacity == 128 ? 1500 : 400;
+    for (int op = 0; op < ops; ++op) {
+      EventTuple event{NodeId(rng.Uniform(kProducers)), next_id++, 0};
+      switch (rng.Uniform(8)) {
+        case 0:  // late: a concurrent writer delivers a slightly stale stamp
+          event.timestamp = clock - rng.Uniform(6);
+          break;
+        case 1:  // older than anything a capped view still holds
+          event.timestamp = rng.Uniform(50);
+          break;
+        case 2:  // an exact duplicate of an earlier event
+          event = written.empty() ? EventTuple{event.producer, event.event_id, clock}
+                                  : written[rng.Uniform(written.size())];
+          break;
+        case 3:  // a timestamp tie with a different event id
+          event.timestamp = clock;
+          break;
+        default:  // in order
+          event.timestamp = ++clock;
+      }
+      written.push_back(event);
+      std::vector<NodeId> targets;
+      for (NodeId v = 0; v < kViews; ++v) {
+        if (rng.Bernoulli(0.6)) targets.push_back(v);
+      }
+      ring.UpdateBatch(targets, event);
+      ref.UpdateBatch(targets, event);
+
+      for (NodeId v = 0; v <= kViews; ++v) {
+        ASSERT_EQ(ring.ReadView(v), ref.ReadView(v)) << "op " << op << " view " << v;
+      }
+      std::vector<NodeId> views{9};
+      for (NodeId v = 0; v < kViews; ++v) {
+        if (rng.Bernoulli(0.5)) views.push_back(v);
+      }
+      std::vector<NodeId> interest;
+      for (NodeId p = 0; p < kProducers; ++p) {
+        if (rng.Bernoulli(0.5)) interest.push_back(p);
+      }
+      for (size_t k : {size_t{1}, size_t{3}, size_t{10}, size_t{300}}) {
+        ASSERT_EQ(ring.QueryBatch(views, interest, k), ref.QueryBatch(views, &interest, k))
+            << "op " << op << " k " << k;
+        ASSERT_EQ(ring.QueryBatch(views, k), ref.QueryBatch(views, nullptr, k))
+            << "op " << op << " k " << k;
+      }
+      ASSERT_EQ(ring.metrics().view_writes, ref.view_writes) << "op " << op;
+      ASSERT_EQ(ring.metrics().trimmed_events, ref.trimmed_events) << "op " << op;
+    }
+    if (capacity > 0) {
+      EXPECT_GT(ref.trimmed_events, 3 * kViews * capacity);
+    }
+  }
+}
+
 TEST(TopKNewestTest, SortsAndTruncates) {
   std::vector<EventTuple> events{{0, 1, 5}, {0, 2, 9}, {0, 3, 1}, {0, 4, 9}};
   auto top = TopKNewest(events, 3);
@@ -299,6 +424,90 @@ TEST(AppClientTest, LayoutsAgreeOnStreamsWithHubsAndFastPaths) {
     for (NodeId u = 0; u < 40; ++u) {
       EXPECT_EQ(flat.QueryFilterFree(u), comp.QueryFilterFree(u));
       EXPECT_EQ(flat.QueryStream(u), comp.QueryStream(u)) << "user " << u;
+    }
+  }
+}
+
+TEST(AppClientTest, BatchesAreAStableGroupingByServer) {
+  // Hub schedules put many views in one request; each share and query must
+  // send exactly the stable grouping of its view list by ServerOf (ascending
+  // server, list order within a server), one message per server.
+  Graph g = GenerateErdosRenyi(60, 900, 5).ValueOrDie();
+  Workload w = UniformWorkload(60, 1.0, 5.0);
+  Schedule s = RunChitChat(g, w).ValueOrDie();
+  size_t hubs = 0;
+  s.ForEachHubCover([&](auto, NodeId) { ++hubs; });
+  ASSERT_GT(hubs, 0u);
+  for (size_t num_servers : {size_t{1}, size_t{2}, size_t{7}}) {
+    SCOPED_TRACE(testing::Message() << num_servers << " servers");
+    HashPartitioner part(num_servers);
+    std::vector<ViewStore> servers;
+    for (uint32_t i = 0; i < num_servers; ++i) servers.emplace_back(i, size_t{0});
+    AppClient client(g, s, &part, &servers, 10);
+    using Batches = std::vector<std::pair<uint32_t, std::vector<NodeId>>>;
+    auto stable_grouping = [&](std::span<const NodeId> views) {
+      std::vector<std::pair<uint32_t, NodeId>> placed;
+      for (NodeId v : views) placed.emplace_back(part.ServerOf(v), v);
+      std::stable_sort(placed.begin(), placed.end(),
+                       [](const auto& a, const auto& b) { return a.first < b.first; });
+      Batches batches;
+      for (const auto& [server, view] : placed) {
+        if (batches.empty() || batches.back().first != server) {
+          batches.emplace_back(server, std::vector<NodeId>{});
+        }
+        batches.back().second.push_back(view);
+      }
+      return batches;
+    };
+    auto server_metrics = [&] {
+      std::vector<ServerMetrics> m;
+      for (const ViewStore& server : servers) m.push_back(server.metrics());
+      return m;
+    };
+    for (NodeId u = 0; u < 60; ++u) {
+      Batches sent;
+      client.ForEachPushBatch(u, [&](uint32_t server, std::span<const NodeId> views) {
+        sent.emplace_back(server, std::vector<NodeId>(views.begin(), views.end()));
+      });
+      const Batches push = stable_grouping(client.PushViews(u));
+      ASSERT_EQ(sent, push) << "share of " << u;
+      sent.clear();
+      client.ForEachPullBatch(u, [&](uint32_t server, std::span<const NodeId> views) {
+        sent.emplace_back(server, std::vector<NodeId>(views.begin(), views.end()));
+      });
+      const Batches pull = stable_grouping(client.PullViews(u));
+      ASSERT_EQ(sent, pull) << "query of " << u;
+
+      // The requests themselves: one message per batch, to its server,
+      // touching exactly the batch's views.
+      const ClientMetrics before = client.metrics();
+      std::vector<ServerMetrics> was = server_metrics();
+      client.ShareEvent(u, u + 1, u + 1);
+      std::vector<ServerMetrics> now = server_metrics();
+      EXPECT_EQ(client.metrics().update_messages - before.update_messages, push.size());
+      uint64_t messages = 0;
+      for (size_t i = 0; i < num_servers; ++i) {
+        messages += now[i].update_messages - was[i].update_messages;
+      }
+      EXPECT_EQ(messages, push.size());
+      for (const auto& [server, views] : push) {
+        EXPECT_EQ(now[server].update_messages - was[server].update_messages, 1u);
+        EXPECT_EQ(now[server].view_writes - was[server].view_writes, views.size());
+      }
+
+      was = now;
+      client.QueryStream(u);
+      now = server_metrics();
+      EXPECT_EQ(client.metrics().query_messages - before.query_messages, pull.size());
+      messages = 0;
+      for (size_t i = 0; i < num_servers; ++i) {
+        messages += now[i].query_messages - was[i].query_messages;
+      }
+      EXPECT_EQ(messages, pull.size());
+      for (const auto& [server, views] : pull) {
+        EXPECT_EQ(now[server].query_messages - was[server].query_messages, 1u);
+        EXPECT_EQ(now[server].view_reads - was[server].view_reads, views.size());
+      }
     }
   }
 }
