@@ -1,25 +1,23 @@
 // Figure 14 (beyond the paper): million-user scale — planning time, serving
-// throughput, and the flat-vs-compressed interest-layout trade.
+// throughput, and interest-set bytes per edge.
 //
 // One generated social graph (GenerateSocialNetwork, preferential attachment
 // + triadic closure + reciprocation), one planner run, then the serving plane
-// is rebuilt once per interest layout and replays the identical rate-weighted
-// request mix. Each layout measurement runs in a forked child process (best
-// of --repeats runs) so both start from the identical post-plan heap —
-// in-process back-to-back runs made whichever layout ran second 2-3x slower
-// from allocator-arena fragmentation, swamping the actual difference.
-// Reported per layout: measured wall throughput (requests/s through the
-// simulator, SIMD kernels included), the paper's modeled per-client
-// throughput, and resident interest bytes per graph edge.
+// is built and replays the rate-weighted request mix. The serve measurement
+// runs in a forked child process (best of --repeats runs) so every repeat
+// starts from the identical post-plan heap — in-process back-to-back runs
+// measured the second run 2-3x slower from allocator-arena fragmentation.
+// Reported: measured wall throughput (requests/s through the simulator, SIMD
+// kernels included), the paper's modeled per-client throughput, and resident
+// interest bytes per graph edge.
 //
-// Expected shape: the compressed layout lands well under the flat layout's
-// ~4+ bytes/edge (power-law adjacency deltas compress to 1-3 byte varints)
-// while wall throughput stays within a few percent — filter-free queries
-// never decode, and the filtered remainder's varint walk is small next to
-// the view scans. check_bench_regression.py --scale blocks on both
-// intra-run contracts (compressed bytes/edge strictly below flat, wall
-// throughput within 10%); cross-machine deltas vs the baseline pin stay
-// advisory.
+// Expected shape: plan_cost, messages_per_request, throughput_req_s and the
+// interest bytes are deterministic for a given graph and seed. Interest
+// sets are flat sorted vectors: 4 bytes per entry plus the own-id entry and
+// a 24-byte vector header per user, ~6.2 bytes/edge at 13 edges per node
+// (BENCH_PR10.json). Wall ops/s moves with the host.
+// check_bench_regression.py --scale blocks only on a baseline row missing
+// from the run; ops/s deltas vs the baseline pin stay advisory.
 //
 //   ./bench_fig14_scale --nodes 1000000 --requests 1000000 --json fig14.json
 //   ./bench_fig14_scale --nodes 50000 --requests 200000   # CI smoke scale
@@ -27,7 +25,7 @@
 // Planning at 1M nodes costs ~an hour; --save-schedule FILE persists the
 // plan (schedule_io text format) and --load-schedule FILE skips planning on
 // later runs — the plan row then reports the load time, clearly marked with
-// planner "(loaded)". Serve-phase iteration (layout or kernel changes) only
+// planner "(loaded)". Serve-phase iteration (store or kernel changes) only
 // needs the load path.
 //
 // The simd column records the dispatch tier the run used (PIGGY_SIMD
@@ -48,11 +46,9 @@
 #include "core/planner.h"
 #include "core/schedule_io.h"
 #include "gen/generators.h"
-#include "graph/compressed_adjacency.h"
 #include "simd/dispatch.h"
 #include "store/prototype.h"
 #include "store/workload_driver.h"
-#include "util/string_util.h"
 #include "workload/workload.h"
 
 using namespace piggy;
@@ -75,13 +71,11 @@ int main(int argc, char** argv) {
   const size_t servers = static_cast<size_t>(flags.Int("servers", 32));
   const uint64_t seed = static_cast<uint64_t>(flags.Int("seed", 42));
   const std::string planner_name = flags.Str("planner", "nosy");
-  const std::string layouts_csv = flags.Str("layouts", "flat,compressed");
   const size_t repeats = static_cast<size_t>(flags.Int("repeats", 3));
 
   Banner("Figure 14 - million-user scale: plan time, serving, bytes/edge",
-         "expect: compressed interest layout well under flat's ~4 bytes/edge "
-         "with wall throughput within a few percent; simd column = dispatch "
-         "tier (PIGGY_SIMD to A/B)");
+         "expect: ~6 interest bytes/edge at 1M nodes (4 per entry + vector "
+         "headers); simd column = dispatch tier (PIGGY_SIMD to A/B)");
 
   auto t0 = std::chrono::steady_clock::now();
   SocialNetworkOptions gen;
@@ -95,12 +89,10 @@ int main(int argc, char** argv) {
   std::printf("graph: %zu nodes, %zu edges (generated in %.1fs); simd=%s\n\n",
               g.num_nodes(), g.num_edges(), gen_s, simd_tier.c_str());
 
-  Table table({"row", "planner", "layout", "simd", "nodes", "edges", "wall_s",
+  Table table({"row", "planner", "simd", "nodes", "edges", "wall_s",
                "plan_cost", "ops_per_sec", "interest_bytes", "bytes_per_edge",
                "messages_per_request", "throughput_req_s"});
 
-  // Plan once: the schedule is layout-invariant (layouts only change how the
-  // serving plane stores interest sets, never what it returns).
   const std::string load_schedule = flags.Str("load-schedule", "");
   const std::string save_schedule = flags.Str("save-schedule", "");
   Schedule schedule;
@@ -120,91 +112,78 @@ int main(int argc, char** argv) {
     PIGGY_CHECK_OK(WriteScheduleText(schedule, save_schedule));
   }
   const double plan_cost = ScheduleCost(g, w, schedule, ResidualPolicy::kFree);
-  table.AddRow({"plan", plan_label, "-", simd_tier, std::to_string(nodes),
+  table.AddRow({"plan", plan_label, simd_tier, std::to_string(nodes),
                 std::to_string(g.num_edges()), Fmt(plan_s), Fmt(plan_cost, 1),
                 "0", "0", "0", "0", "0"});
   std::printf("plan: %s in %.1fs, cost %.1f\n", plan_label.c_str(), plan_s,
               plan_cost);
 
-  for (const std::string& layout_name : StrSplit(layouts_csv, ',')) {
-    GraphLayout layout = GraphLayout::kFlatCsr;
-    if (!ParseGraphLayout(layout_name, &layout)) {
-      std::fprintf(stderr, "unknown layout: %s\n", layout_name.c_str());
-      return 1;
+  // Measure in a forked child so every repeat starts from the identical
+  // post-plan heap. Building and then tearing down a million-node serving
+  // plane in-process fragments the allocator arena, and a second in-process
+  // run measured 2-3x slower (malloc_trim between runs only partially
+  // recovers). Process isolation removes the ordering artifact; the child
+  // reports its numbers on a pipe. Repeats take the fastest run: identical
+  // code measured twice still moves several percent on a shared host, and
+  // min-of-N is the standard way to strip that scheduling noise from a
+  // CPU-bound measurement.
+  size_t interest_bytes = 0;
+  double wall_s = 0, msgs_per_request = 0, throughput = 0;
+  for (size_t rep = 0; rep < repeats; ++rep) {
+    int fds[2];
+    PIGGY_CHECK_EQ(pipe(fds), 0);
+    const pid_t pid = fork();
+    PIGGY_CHECK_GE(pid, 0);
+    if (pid == 0) {
+      close(fds[0]);
+      PrototypeOptions opt;
+      opt.num_servers = servers;
+      auto proto = Prototype::Create(g, schedule, opt).MoveValueOrDie();
+      // Return the arena freed by construction before the timed window so
+      // serve-time allocations start from a dense heap.
+      malloc_trim(0);
+      const size_t child_bytes = proto->client().InterestBytes();
+      DriverOptions d;
+      d.num_requests = requests;
+      d.seed = seed;
+      const auto ts = std::chrono::steady_clock::now();
+      DriverReport report = RunWorkloadDriver(*proto, w, d).MoveValueOrDie();
+      const double child_wall = Seconds(ts);
+      FILE* wire = fdopen(fds[1], "w");
+      std::fprintf(wire, "%zu %.9f %.9f %.9f\n", child_bytes, child_wall,
+                   report.messages_per_request, report.actual_throughput);
+      std::fflush(wire);
+      _exit(0);
     }
-    // Measure each layout in a forked child so every run starts from the
-    // identical post-plan heap. Building and then tearing down a million-node
-    // serving plane in-process fragments the allocator arena, and whichever
-    // layout ran SECOND measured 2-3x slower — regardless of which one it was
-    // (malloc_trim between runs only partially recovers). Process isolation
-    // removes the ordering artifact; the child reports its numbers on a pipe.
-    // Repeats take the fastest run: identical code measured twice still moves
-    // several percent on a shared host, and min-of-N is the standard way to
-    // strip that scheduling noise from a CPU-bound measurement.
-    size_t interest_bytes = 0;
-    double wall_s = 0, msgs_per_request = 0, throughput = 0;
-    for (size_t rep = 0; rep < repeats; ++rep) {
-      int fds[2];
-      PIGGY_CHECK_EQ(pipe(fds), 0);
-      const pid_t pid = fork();
-      PIGGY_CHECK_GE(pid, 0);
-      if (pid == 0) {
-        close(fds[0]);
-        PrototypeOptions opt;
-        opt.num_servers = servers;
-        opt.layout = layout;
-        auto proto = Prototype::Create(g, schedule, opt).MoveValueOrDie();
-        // Construction churn differs per layout (the compressed client
-        // builds flat lists, encodes, then frees ~80MB at 1M nodes); return
-        // that freed arena before the timed window so serve-time allocations
-        // start from a dense heap in both children and the measurement
-        // compares layouts, not allocator history.
-        malloc_trim(0);
-        const size_t child_bytes = proto->client().InterestBytes();
-        DriverOptions d;
-        d.num_requests = requests;
-        d.seed = seed;
-        const auto ts = std::chrono::steady_clock::now();
-        DriverReport report = RunWorkloadDriver(*proto, w, d).MoveValueOrDie();
-        const double child_wall = Seconds(ts);
-        FILE* wire = fdopen(fds[1], "w");
-        std::fprintf(wire, "%zu %.9f %.9f %.9f\n", child_bytes, child_wall,
-                     report.messages_per_request, report.actual_throughput);
-        std::fflush(wire);
-        _exit(0);
-      }
-      close(fds[1]);
-      size_t rep_bytes = 0;
-      double rep_wall = 0, rep_msgs = 0, rep_tput = 0;
-      FILE* wire = fdopen(fds[0], "r");
-      PIGGY_CHECK_EQ(std::fscanf(wire, "%zu %lf %lf %lf", &rep_bytes,
-                                 &rep_wall, &rep_msgs, &rep_tput),
-                     4);
-      std::fclose(wire);
-      int status = 0;
-      PIGGY_CHECK_EQ(waitpid(pid, &status, 0), pid);
-      PIGGY_CHECK(WIFEXITED(status) && WEXITSTATUS(status) == 0)
-          << "serve child for layout " << layout_name << " failed";
-      if (rep == 0 || rep_wall < wall_s) {
-        interest_bytes = rep_bytes;
-        wall_s = rep_wall;
-        msgs_per_request = rep_msgs;
-        throughput = rep_tput;
-      }
+    close(fds[1]);
+    size_t rep_bytes = 0;
+    double rep_wall = 0, rep_msgs = 0, rep_tput = 0;
+    FILE* wire = fdopen(fds[0], "r");
+    PIGGY_CHECK_EQ(std::fscanf(wire, "%zu %lf %lf %lf", &rep_bytes, &rep_wall,
+                               &rep_msgs, &rep_tput),
+                   4);
+    std::fclose(wire);
+    int status = 0;
+    PIGGY_CHECK_EQ(waitpid(pid, &status, 0), pid);
+    PIGGY_CHECK(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+        << "serve child failed";
+    if (rep == 0 || rep_wall < wall_s) {
+      interest_bytes = rep_bytes;
+      wall_s = rep_wall;
+      msgs_per_request = rep_msgs;
+      throughput = rep_tput;
     }
-    const double bytes_per_edge =
-        static_cast<double>(interest_bytes) / static_cast<double>(g.num_edges());
-    const double ops = wall_s > 0 ? static_cast<double>(requests) / wall_s : 0;
-    table.AddRow({"serve", plan_label, layout_name, simd_tier,
-                  std::to_string(nodes), std::to_string(g.num_edges()),
-                  Fmt(wall_s), Fmt(plan_cost, 1), Fmt(ops, 0),
-                  std::to_string(interest_bytes), Fmt(bytes_per_edge),
-                  Fmt(msgs_per_request), Fmt(throughput, 0)});
-    std::printf("serve[%s]: %zu requests in %.1fs = %.0f req/s wall, "
-                "%.3f bytes/edge, msgs/req=%.3f, modeled throughput=%.0f\n",
-                layout_name.c_str(), requests, wall_s, ops, bytes_per_edge,
-                msgs_per_request, throughput);
   }
+  const double bytes_per_edge =
+      static_cast<double>(interest_bytes) / static_cast<double>(g.num_edges());
+  const double ops = wall_s > 0 ? static_cast<double>(requests) / wall_s : 0;
+  table.AddRow({"serve", plan_label, simd_tier, std::to_string(nodes),
+                std::to_string(g.num_edges()), Fmt(wall_s), Fmt(plan_cost, 1),
+                Fmt(ops, 0), std::to_string(interest_bytes), Fmt(bytes_per_edge),
+                Fmt(msgs_per_request), Fmt(throughput, 0)});
+  std::printf("serve: %zu requests in %.1fs = %.0f req/s wall, "
+              "%.3f bytes/edge, msgs/req=%.3f, modeled throughput=%.0f\n",
+              requests, wall_s, ops, bytes_per_edge, msgs_per_request, throughput);
 
   std::printf("\n");
   table.Print();

@@ -4,8 +4,9 @@
 //
 // The service plans with a registry planner, applies churn through the
 // incremental maintainer (schedules stay Theorem-1 valid after every
-// operation), and re-runs the planner when drift warrants it — here via the
-// replan_after_churn policy, plus one manual Replan() at the end.
+// operation), and re-runs the planner when drift warrants it — here one
+// manual Replan() at the end (FeedServiceOptions::replan automates it, e.g.
+// ReplanPolicy::EveryN).
 //
 // Build & run:  ./examples/dynamic_graph
 

@@ -39,7 +39,6 @@ CONTRACT_HEADERS = [
     "src/store/feed_service.h",
     "src/cluster/cluster_service.h",
     "src/durability/durable_state.h",
-    "src/graph/compressed_adjacency.h",
     "src/simd/dispatch.h",
     "src/simd/kernels.h",
 ]

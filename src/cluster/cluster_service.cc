@@ -1545,7 +1545,6 @@ ClusterMetrics ClusterService::GetMetrics() const {
     m.drift_replans += sm.drift_replans;
     m.max_drift_score = std::max(m.max_drift_score, sm.drift_score);
     m.repairs += sm.repairs;
-    m.layout = sm.layout;
     m.interest_bytes += sm.interest_bytes;
   }
   if (graph_.num_edges() > 0) {

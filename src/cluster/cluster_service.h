@@ -95,8 +95,8 @@ struct ClusterOptions {
   /// cluster-level audits; shard-local audits are configured in shard).
   size_t audit_every = 0;
   /// Re-plan every shard after this many cluster churn ops (0 = only explicit
-  /// Replan calls; shard.replan_after_churn additionally applies per shard to
-  /// its local churn).
+  /// Replan calls; shard.replan additionally applies per shard to its local
+  /// churn).
   size_t replan_after_churn = 0;
   /// Cluster-wide persistence root (empty = memory-only, the default). When
   /// set, every shard keeps its own WAL + snapshot pair under
@@ -134,7 +134,6 @@ struct ClusterMetrics {
   uint64_t audited_queries = 0;         ///< cluster-level merged-stream audits
   uint64_t cross_update_messages = 0;   ///< remote-push fan-out + backfills
   uint64_t cross_query_messages = 0;    ///< remote-pull fan-out
-  std::string layout;           ///< interest-set layout ("flat"|"compressed")
   size_t interest_bytes = 0;    ///< resident interest-set bytes (shard sum)
   double interest_bytes_per_edge = 0;  ///< interest_bytes / cluster edges
   std::vector<uint64_t> per_shard_requests;  ///< requests routed per shard

@@ -127,8 +127,6 @@ Status WalWriter::Append(const WalRecord& record) {
     case WalFlushPolicy::kGroup:
       if (unflushed_ >= group_records_) return Flush(use_fsync_);
       return Status::OK();
-    case WalFlushPolicy::kNone:
-      return Status::OK();
   }
   return Status::OK();
 }

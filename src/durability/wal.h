@@ -62,7 +62,6 @@ struct WalRecord {
 enum class WalFlushPolicy : uint8_t {
   kEveryRecord = 0,  // flush (and optionally fsync) after every append
   kGroup,            // flush after every `group_records` appends (group commit)
-  kNone,             // flush only on explicit Flush()/close
 };
 
 /// Appends framed records to a log file. Not thread-safe: the owning

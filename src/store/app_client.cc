@@ -30,12 +30,8 @@ bool SortedSubset(std::span<const NodeId> sub, std::span<const NodeId> super) {
 
 AppClient::AppClient(const Graph& graph, const Schedule& schedule,
                      const Partitioner* partitioner, std::vector<ViewStore>* servers,
-                     size_t feed_size, GraphLayout layout)
-    : graph_(graph),
-      partitioner_(partitioner),
-      servers_(servers),
-      feed_size_(feed_size),
-      layout_(layout) {
+                     size_t feed_size)
+    : graph_(graph), partitioner_(partitioner), servers_(servers), feed_size_(feed_size) {
   PIGGY_CHECK(partitioner_ != nullptr);
   PIGGY_CHECK(servers_ != nullptr);
   PIGGY_CHECK_EQ(servers_->size(), partitioner_->num_servers());
@@ -57,9 +53,9 @@ AppClient::AppClient(const Graph& graph, const Schedule& schedule,
   // Schedule-implied membership: view w can only ever contain events from
   // producers whose push set includes w. When that producer set is a subset
   // of interest[u] for every view u pulls, the query-side interest filter is
-  // an identity — mark u filter-free and its queries skip the filter (and,
-  // under the compressed layout, the per-query decode) entirely. Covers the
-  // common non-hub pulls: own views and followee-owned views.
+  // an identity — mark u filter-free and its queries skip the filter
+  // entirely. Covers the common non-hub pulls: own views and followee-owned
+  // views.
   std::vector<std::vector<NodeId>> sources(n);
   for (NodeId u = 0; u < n; ++u) {
     // Ascending u keeps every sources[w] sorted.
@@ -82,16 +78,9 @@ AppClient::AppClient(const Graph& graph, const Schedule& schedule,
   push_batches_ = BatchPlan::Build(push_views_, server_of, servers_->size());
   pull_batches_ = BatchPlan::Build(pull_views_, server_of, servers_->size());
 
-  if (layout_ == GraphLayout::kCompressed) {
-    interest_compressed_ = CompressedLists::FromLists(interest_);
-    interest_ = {};  // keep only the compressed form resident
-    interest_bytes_ = interest_compressed_.TotalBytes();
-  } else {
-    size_t bytes = interest_.size() * sizeof(std::vector<NodeId>);
-    for (const std::vector<NodeId>& list : interest_) {
-      bytes += list.capacity() * sizeof(NodeId);
-    }
-    interest_bytes_ = bytes;
+  interest_bytes_ = interest_.size() * sizeof(std::vector<NodeId>);
+  for (const std::vector<NodeId>& list : interest_) {
+    interest_bytes_ += list.capacity() * sizeof(NodeId);
   }
 }
 
@@ -159,30 +148,16 @@ std::vector<EventTuple> AppClient::QueryStream(NodeId u) {
   PIGGY_CHECK_LT(u, pull_views_.size());
   query_requests_.fetch_add(1, std::memory_order_relaxed);
   // Filter-free users (schedule-implied membership, see the constructor)
-  // never materialize the interest span. Filtered users under the compressed
-  // layout decode it into scratch — the trade the layout option makes: a
-  // varint walk per filtered query for a fraction of the resident bytes.
-  // Flat layout serves the stored list directly. The scratch (and the merge
-  // buffer below) is thread_local, not per-call: a malloc per query would
-  // dominate the decode itself at million-user scale, and each serving
-  // thread owning one buffer keeps concurrent queries race-free (neither
-  // escapes this call; the result is a copy).
+  // skip the interest filter; filtered users read interest_[u] directly.
+  // The merge buffer is thread_local, not per-call: each serving thread
+  // owning one buffer keeps concurrent queries allocation-free and
+  // race-free (it never escapes this call; the result is a copy).
   const bool filtered = filter_free_[u] == 0;
-  static thread_local std::vector<NodeId> scratch;
-  std::span<const NodeId> interest;
-  if (filtered) {
-    if (layout_ == GraphLayout::kCompressed) {
-      interest_compressed_.DecodeInto(u, &scratch);
-      interest = scratch;
-    } else {
-      interest = interest_[u];
-    }
-  }
   static thread_local std::vector<EventTuple> merged;
   merged.clear();
   pull_batches_.ForEach(u, [&](uint32_t server, std::span<const NodeId> views) {
     ViewStore& store = (*servers_)[server];
-    std::vector<EventTuple> part = filtered ? store.QueryBatch(views, interest, feed_size_)
+    std::vector<EventTuple> part = filtered ? store.QueryBatch(views, interest_[u], feed_size_)
                                             : store.QueryBatch(views, feed_size_);
     merged.insert(merged.end(), part.begin(), part.end());
   });

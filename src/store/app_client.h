@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "core/schedule.h"
-#include "graph/compressed_adjacency.h"
 #include "graph/graph.h"
 #include "store/partitioner.h"
 #include "store/view_store.h"
@@ -56,10 +55,9 @@ class AppClient {
   /// \param partitioner view placement (borrowed)
   /// \param servers     data-store fleet (borrowed, mutated by requests)
   /// \param feed_size   events per assembled stream (paper: 10)
-  /// \param layout      interest-set storage layout (flat CSR or compressed)
   AppClient(const Graph& graph, const Schedule& schedule,
             const Partitioner* partitioner, std::vector<ViewStore>* servers,
-            size_t feed_size = 10, GraphLayout layout = GraphLayout::kFlatCsr);
+            size_t feed_size = 10);
 
   /// Shares a new event by user u (Algorithm 3, update path).
   void ShareEvent(NodeId u, uint64_t event_id, uint64_t timestamp);
@@ -106,11 +104,8 @@ class AppClient {
   /// in u's interest set (precomputed at construction).
   bool QueryFilterFree(NodeId u) const { return filter_free_[u] != 0; }
 
-  /// The interest-set storage layout this client was built with.
-  GraphLayout layout() const { return layout_; }
-  /// Resident bytes of the interest sets under the active layout (payload
-  /// plus per-list bookkeeping) — the memory the layout option trades against
-  /// query-path decode work.
+  /// Resident bytes of the interest sets (payload plus per-list vector
+  /// bookkeeping).
   size_t InterestBytes() const { return interest_bytes_; }
 
  private:
@@ -123,18 +118,13 @@ class AppClient {
   // Immutable after construction (rebuilds create a fresh client).
   std::vector<std::vector<NodeId>> push_views_;
   std::vector<std::vector<NodeId>> pull_views_;
-  // interest[u] = sorted {u} ∪ followees(u); the query-side filter. Stored
-  // flat (interest_) or delta-varint compressed (interest_compressed_,
-  // decoded into per-thread scratch on queries) per layout_.
-  GraphLayout layout_;
+  // interest[u] = sorted {u} ∪ followees(u); the query-side filter.
   std::vector<std::vector<NodeId>> interest_;
-  CompressedLists interest_compressed_;
   size_t interest_bytes_ = 0;
   // filter_free_[u] != 0 when every producer reachable through u's pull set
   // is schedule-guaranteed to be in interest[u], making the query-side
-  // filter an identity — those queries never touch the interest set (and
-  // under the compressed layout never pay the decode). One byte per user,
-  // immutable after construction.
+  // filter an identity — those queries never touch the interest set. One
+  // byte per user, immutable after construction.
   std::vector<uint8_t> filter_free_;
 
   std::atomic<uint64_t> share_requests_{0};

@@ -83,13 +83,13 @@ std::string FeedService::Metrics::ToString() const {
       "planner=%s replan=%s cost=%.1f ff=%.1f ratio=%.3fx replans=%zu "
       "(bg=%zu drift=%zu score=%.3f) repairs=%zu churn=%zu rebuilds=%zu "
       "shares=%lu queries=%lu audited=%lu mpr=%.2f throughput=%.0f req/s "
-      "layout=%s interest=%.2fB/edge",
+      "interest=%.2fB/edge",
       planner.c_str(), replan_policy.c_str(), schedule_cost, hybrid_cost,
       ImprovementRatio(hybrid_cost, schedule_cost), replans, background_replans,
       drift_replans, drift_score, repairs, churn_ops, serving_rebuilds,
       static_cast<unsigned long>(shares), static_cast<unsigned long>(queries),
       static_cast<unsigned long>(audited_queries), messages_per_request,
-      actual_throughput, layout.c_str(), interest_bytes_per_edge);
+      actual_throughput, interest_bytes_per_edge);
 }
 
 FeedService::FeedService(const Graph& graph, Workload workload,
@@ -139,11 +139,6 @@ Result<std::unique_ptr<FeedService>> FeedService::Create(
   }
   auto service = std::unique_ptr<FeedService>(
       new FeedService(graph, std::move(workload), options));
-  // The legacy counter knob is the every-N policy under its old name.
-  if (service->options_.replan.mode == ReplanMode::kNever &&
-      options.replan_after_churn > 0) {
-    service->options_.replan = ReplanPolicy::EveryN(options.replan_after_churn);
-  }
   if (service->options_.replan.mode == ReplanMode::kDrift) {
     service->estimator_ = std::make_unique<RateDriftEstimator>(
         graph.num_nodes(), service->options_.replan.drift);
@@ -199,10 +194,6 @@ Result<std::unique_ptr<FeedService>> FeedService::Recover(
 
   auto service = std::unique_ptr<FeedService>(
       new FeedService(state.base_graph, std::move(workload), options));
-  if (service->options_.replan.mode == ReplanMode::kNever &&
-      options.replan_after_churn > 0) {
-    service->options_.replan = ReplanPolicy::EveryN(options.replan_after_churn);
-  }
   if (service->options_.replan.mode == ReplanMode::kDrift) {
     service->estimator_ = std::make_unique<RateDriftEstimator>(
         state.base_graph.num_nodes(), service->options_.replan.drift);
@@ -1003,7 +994,6 @@ FeedService::Metrics FeedService::GetMetrics() const {
       m.messages_per_request > 0
           ? options_.prototype.client_messages_per_second / m.messages_per_request
           : 0.0;
-  m.layout = GraphLayoutName(options_.prototype.layout);
   if (prototype_ != nullptr) {
     m.interest_bytes = prototype_->client().InterestBytes();
     m.interest_bytes_per_edge =

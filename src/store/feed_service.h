@@ -95,11 +95,6 @@ struct FeedServiceOptions {
   /// Workload synthesis knobs, used by the Create overload without an
   /// explicit workload.
   WorkloadOptions workload;
-  /// Re-run the planner automatically after this many Follow/Unfollow
-  /// operations since the last plan (0 = only explicit Replan calls).
-  /// Legacy spelling of ReplanPolicy::EveryN — ignored when `replan` sets a
-  /// non-default mode.
-  size_t replan_after_churn = 0;
   /// When to re-run the planner: never (default), every N churn ops, or
   /// drift-triggered with rates re-estimated from observed traffic (see
   /// scenario/drift.h).
@@ -215,7 +210,6 @@ class FeedService {
     uint64_t audited_queries = 0;
     double messages_per_request = 0;
     double actual_throughput = 0;  ///< modeled req/s per client
-    std::string layout;            ///< interest-set layout ("flat"|"compressed")
     size_t interest_bytes = 0;     ///< resident interest-set bytes
     double interest_bytes_per_edge = 0;  ///< interest_bytes / graph edges
 

@@ -32,7 +32,7 @@ Result<std::unique_ptr<Prototype>> Prototype::Create(const Graph& graph,
   }
   proto->client_ = std::make_unique<AppClient>(
       graph, schedule, proto->partitioner_.get(), &proto->servers_,
-      options.feed_size, options.layout);
+      options.feed_size);
   return proto;
 }
 

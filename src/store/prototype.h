@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "core/schedule.h"
-#include "graph/compressed_adjacency.h"
 #include "graph/graph.h"
 #include "store/app_client.h"
 #include "store/event_log.h"
@@ -45,10 +44,6 @@ struct PrototypeOptions {
   size_t feed_size = 10;       ///< events per stream (paper: 10 latest)
   size_t view_capacity = 128;  ///< events retained per view (0 = unbounded)
   uint64_t partition_salt = kDefaultPartitionSalt;
-  /// Interest-set storage layout: flat CSR (fast, 4 bytes/entry) or
-  /// delta-varint compressed (compact, decoded per query). Identical query
-  /// results either way.
-  GraphLayout layout = GraphLayout::kFlatCsr;
   /// Calibration constant: batched messages one client can issue per second.
   /// Chosen so the 1-server point lands in the paper's 60-70k req/s range.
   double client_messages_per_second = 70000.0;

@@ -129,7 +129,8 @@ TEST_F(DurabilityTest, WalRoundTrip) {
 
 TEST_F(DurabilityTest, WalGroupFlushPersistsOnClose) {
   auto recs = SampleRecords();
-  ASSERT_TRUE(WriteRecords(Path("g.log"), recs, WalFlushPolicy::kNone).ok());
+  // Groups of 4 against 6 records: the last 2 are flushed only by Close.
+  ASSERT_TRUE(WriteRecords(Path("g.log"), recs, WalFlushPolicy::kGroup).ok());
   auto read = ReadWal(Path("g.log")).ValueOrDie();
   EXPECT_EQ(read.records, recs);
 }

@@ -180,7 +180,7 @@ TEST(FeedServiceTest, RebuildPreservesTrimCountersForAuditSoundness) {
 TEST(FeedServiceTest, AutoReplanTriggersAfterConfiguredChurn) {
   Graph g = MakeFlickrLike(200, 9).ValueOrDie();
   FeedServiceOptions options = SmallDeployment("hybrid");
-  options.replan_after_churn = 5;
+  options.replan = ReplanPolicy::EveryN(5);
   auto service = FeedService::Create(g, options).MoveValueOrDie();
 
   Rng rng(5);

@@ -1,8 +1,7 @@
 // Kernel parity suite: every dispatch tier must produce output bit-identical
 // to the scalar reference for every kernel, across the input classes the hot
 // loops actually see — empty, disjoint, fully overlapping, skewed enough to
-// gallop, and lengths that leave vector-width tails. Plus round-trip and
-// point-lookup coverage for the compressed adjacency layout.
+// gallop, and lengths that leave vector-width tails.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +13,6 @@
 #include <utility>
 #include <vector>
 
-#include "graph/compressed_adjacency.h"
 #include "graph/graph.h"
 #include "simd/dispatch.h"
 #include "simd/kernels.h"
@@ -257,77 +255,6 @@ TEST(SimdSelectTest, NewestFirstSelectionMatchesScalarOnEveryTier) {
       }
     }
   }
-}
-
-TEST(CompressedAdjacencyTest, LayoutNamesRoundTrip) {
-  GraphLayout layout = GraphLayout::kCompressed;
-  EXPECT_TRUE(ParseGraphLayout("flat", &layout));
-  EXPECT_EQ(layout, GraphLayout::kFlatCsr);
-  EXPECT_TRUE(ParseGraphLayout("compressed", &layout));
-  EXPECT_EQ(layout, GraphLayout::kCompressed);
-  EXPECT_FALSE(ParseGraphLayout("zstd", &layout));
-  EXPECT_STREQ(GraphLayoutName(GraphLayout::kFlatCsr), "flat");
-  EXPECT_STREQ(GraphLayoutName(GraphLayout::kCompressed), "compressed");
-}
-
-TEST(CompressedAdjacencyTest, RoundTripsEveryList) {
-  Rng rng(5150);
-  std::vector<std::vector<NodeId>> lists;
-  lists.push_back({});
-  lists.push_back({0});
-  lists.push_back({0xfffffffeu});
-  // Exactly one block, one entry over a block boundary, several blocks.
-  lists.push_back(SortedRandomSet(rng, CompressedLists::kBlockEntries, 1 << 24));
-  lists.push_back(SortedRandomSet(rng, CompressedLists::kBlockEntries + 1, 1 << 24));
-  lists.push_back(SortedRandomSet(rng, 1000, 1 << 30));
-  // Dense run: deltas of exactly 1 encode as zero-bytes.
-  {
-    std::vector<NodeId> dense;
-    for (NodeId v = 500; v < 900; ++v) dense.push_back(v);
-    lists.push_back(dense);
-  }
-  const CompressedLists enc = CompressedLists::FromLists(lists);
-  ASSERT_EQ(enc.num_lists(), lists.size());
-  std::vector<NodeId> decoded;
-  size_t total = 0;
-  for (size_t i = 0; i < lists.size(); ++i) {
-    EXPECT_EQ(enc.ListSize(i), lists[i].size());
-    enc.DecodeInto(i, &decoded);
-    EXPECT_EQ(decoded, lists[i]) << "list " << i;
-    total += lists[i].size();
-  }
-  EXPECT_EQ(enc.TotalEntries(), total);
-  EXPECT_GT(enc.TotalBytes(), 0u);
-}
-
-TEST(CompressedAdjacencyTest, ContainsGallopsAcrossVarintBlocks) {
-  Rng rng(31337);
-  // Several blocks so Contains exercises skip-table selection, including
-  // probes below the first value, above the last, and between blocks.
-  std::vector<NodeId> list = SortedRandomSet(rng, 10 * CompressedLists::kBlockEntries,
-                                             1 << 22);
-  const CompressedLists enc = CompressedLists::FromLists({list});
-  for (NodeId v : list) {
-    EXPECT_TRUE(enc.Contains(0, v)) << v;
-  }
-  std::set<NodeId> present(list.begin(), list.end());
-  for (int probe = 0; probe < 2000; ++probe) {
-    const NodeId v = static_cast<NodeId>(rng.Uniform(1 << 22));
-    EXPECT_EQ(enc.Contains(0, v), present.count(v) > 0) << v;
-  }
-  EXPECT_FALSE(enc.Contains(0, 0xffffffffu));
-}
-
-TEST(CompressedAdjacencyTest, CompressesPowerLawAdjacencyBelowFlat) {
-  // The selling point: small deltas encode to ~1 byte, so bytes/entry lands
-  // well under the flat layout's 4 (plus per-list vector overhead).
-  Rng rng(8);
-  std::vector<std::vector<NodeId>> lists;
-  for (int i = 0; i < 200; ++i) {
-    lists.push_back(SortedRandomSet(rng, 50 + rng.Uniform(100), 1 << 16));
-  }
-  const CompressedLists enc = CompressedLists::FromLists(lists);
-  EXPECT_LT(enc.BytesPerEntry(), 4.0);
 }
 
 }  // namespace

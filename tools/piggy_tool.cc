@@ -3,7 +3,7 @@
 //   piggy_tool generate --preset flickr --nodes 20000 --seed 1 --out g.bin
 //   piggy_tool stats    --graph g.bin
 //   piggy_tool sample   --graph g.bin --method bfs --edges 20000 --out s.bin
-//   piggy_tool optimize --graph g.bin --algorithm parallelnosy --ratio 5
+//   piggy_tool optimize --graph g.bin --planner nosy --ratio 5
 //                       --out schedule.txt
 //   piggy_tool evaluate --graph g.bin --schedule schedule.txt --ratio 5
 //                       --servers 500 --requests 50000
@@ -92,8 +92,7 @@ constexpr CommandDoc kCommands[] = {
      "--graph FILE --planner NAME [--ratio R]\n"
      "            [--iterations K] [--threads T] [--deadline SECS]\n"
      "            --out FILE",
-     "--planner list shows the registry;\n"
-     " --algorithm is a legacy alias"},
+     "--planner list shows the registry"},
     {"evaluate",
      "--graph FILE --schedule FILE [--ratio R]\n"
      "            [--servers N] [--partitioner NAME] [--requests N]\n"
@@ -380,25 +379,13 @@ Status CmdSample(const Args& args) {
   return Status::OK();
 }
 
-// Maps the legacy --algorithm spellings onto registry names; everything else
-// passes through to the registry (which reports unknown names itself).
-std::string ResolvePlannerName(const Args& args) {
-  std::string name = args.Str("planner");
-  if (!name.empty()) return name;
-  const std::string legacy = args.Str("algorithm");
-  if (legacy.empty()) return "nosy";
-  if (legacy == "ff") return "hybrid";
-  if (legacy == "parallelnosy") return "nosy";
-  return legacy;
-}
-
 Status CmdOptimize(const Args& args) {
   PIGGY_ASSIGN_OR_RETURN(Graph g, LoadGraph(args.Str("graph")));
   PIGGY_ASSIGN_OR_RETURN(
       Workload w,
       GenerateWorkload(g, {.read_write_ratio = args.Double("ratio", 5.0),
                            .min_rate = 0.01}));
-  const std::string name = ResolvePlannerName(args);
+  const std::string name = args.Str("planner", "nosy");
 
   // --iterations only makes sense for the iterative planner; honor it via
   // the typed factory, otherwise instantiate from the registry.
@@ -474,7 +461,7 @@ Status CmdServe(const Args& args) {
   ClusterOptions options;
   options.num_shards = static_cast<size_t>(args.Int("shards", 4));
   options.partitioner = args.Str("partitioner", "hash");
-  options.shard.planner = ResolvePlannerName(args);
+  options.shard.planner = args.Str("planner", "nosy");
   options.shard.plan_context.num_threads =
       static_cast<size_t>(args.Int("threads", 0));
   options.shard.plan_context.deadline_seconds = args.Double("deadline", 0.0);
@@ -565,7 +552,7 @@ Status CmdReplay(const Args& args) {
                          ReplanPolicy::FromString(args.Str("policy", "drift")));
 
   FeedServiceOptions service_options;
-  service_options.planner = ResolvePlannerName(args);
+  service_options.planner = args.Str("planner", "nosy");
   service_options.replan = policy;
   service_options.audit_every = static_cast<size_t>(args.Int("audit", 0));
   service_options.background_replan = args.Int("background-replan", 0) != 0;
@@ -658,7 +645,7 @@ Status CmdRecover(const Args& args) {
       std::filesystem::exists(data_dir + "/assignment.bin");
   if (is_cluster) {
     ClusterOptions options;
-    options.shard.planner = ResolvePlannerName(args);
+    options.shard.planner = args.Str("planner", "nosy");
     options.shard.workload = {.read_write_ratio = args.Double("ratio", 5.0),
                               .min_rate = 0.01};
     options.durability = DurabilityFromArgs(args);
@@ -684,7 +671,7 @@ Status CmdRecover(const Args& args) {
     MaybePrintStats(args, *cluster);
   } else {
     FeedServiceOptions options;
-    options.planner = ResolvePlannerName(args);
+    options.planner = args.Str("planner", "nosy");
     options.workload = {.read_write_ratio = args.Double("ratio", 5.0),
                         .min_rate = 0.01};
     options.durability = DurabilityFromArgs(args);
@@ -723,7 +710,7 @@ Status StatsFromDataDir(const Args& args) {
       std::filesystem::exists(data_dir + "/assignment.bin");
   if (is_cluster) {
     ClusterOptions options;
-    options.shard.planner = ResolvePlannerName(args);
+    options.shard.planner = args.Str("planner", "nosy");
     options.shard.workload = {.read_write_ratio = args.Double("ratio", 5.0),
                               .min_rate = 0.01};
     options.durability = DurabilityFromArgs(args);
@@ -746,7 +733,7 @@ Status StatsFromDataDir(const Args& args) {
     return Status::OK();
   }
   FeedServiceOptions options;
-  options.planner = ResolvePlannerName(args);
+  options.planner = args.Str("planner", "nosy");
   options.workload = {.read_write_ratio = args.Double("ratio", 5.0),
                       .min_rate = 0.01};
   options.durability = DurabilityFromArgs(args);
@@ -772,7 +759,7 @@ Status CmdShards(const Args& args) {
   ClusterOptions options;
   options.num_shards = static_cast<size_t>(args.Int("shards", 4));
   options.partitioner = args.Str("partitioner", "edge-cut");
-  options.shard.planner = ResolvePlannerName(args);
+  options.shard.planner = args.Str("planner", "nosy");
   options.shard.workload = {.read_write_ratio = args.Double("ratio", 5.0),
                             .min_rate = 0.01};
   PIGGY_ASSIGN_OR_RETURN(std::unique_ptr<ClusterService> cluster,
