@@ -8,6 +8,7 @@
 #include <unordered_set>
 #include <utility>
 
+#include "cluster/newest_k_merge.h"
 #include "core/cost_model.h"
 #include "util/alias_table.h"
 #include "util/failpoint.h"
@@ -203,6 +204,8 @@ ClusterService::ClusterService(ClusterOptions options, ShardMap map,
   shares_ = &registry_.GetCounter("cluster.shares");
   queries_ = &registry_.GetCounter("cluster.queries");
   audited_queries_ = &registry_.GetCounter("cluster.audited_queries");
+  share_us_ = &registry_.GetHistogram("cluster.share_us");
+  query_us_ = &registry_.GetHistogram("cluster.query_us");
   migrations_ = &registry_.GetCounter("cluster.migrations");
   migrated_users_ = &registry_.GetCounter("cluster.migrated_users");
   per_shard_requests_.reserve(map_.num_shards());
@@ -560,6 +563,7 @@ std::vector<uint64_t> ClusterService::HistorySnapshot(NodeId producer) const {
 }
 
 Status ClusterService::Share(NodeId u) {
+  obs::ScopedLatency latency(replaying_ ? nullptr : share_us_);
   if (u >= map_.num_nodes()) {
     return Status::InvalidArgument(StrFormat("unknown user %u", u));
   }
@@ -616,6 +620,7 @@ Result<std::vector<EventTuple>> ClusterService::QueryStream(NodeId u) {
 
 Result<std::vector<EventTuple>> ClusterService::QueryInternal(NodeId u,
                                                               bool force_audit) {
+  obs::ScopedLatency latency(replaying_ ? nullptr : query_us_);
   if (u >= map_.num_nodes()) {
     return Status::InvalidArgument(StrFormat("unknown user %u", u));
   }
@@ -637,22 +642,20 @@ Result<std::vector<EventTuple>> ClusterService::QueryInternal(NodeId u,
   per_user_requests_[u].fetch_add(1, std::memory_order_relaxed);
   queries_->Add();
 
-  // Collect (seq, producer) candidates. Local feed events carry global
-  // sequence numbers (shares are routed with explicit seqs), so event_id is
-  // the global share order directly.
-  std::vector<std::pair<uint64_t, NodeId>> candidates;
-  candidates.reserve(local.size() + 8);
+  // Bounded newest-k merge over sources that are each already sorted (see
+  // cluster/newest_k_merge.h). Local feed events carry global sequence
+  // numbers (shares are routed with explicit seqs), so event_id is the
+  // global share order directly; the local feed is newest-first.
+  NewestKMerge merge(feed_size_);
   for (const EventTuple& e : local) {
-    candidates.emplace_back(e.event_id, map_.GlobalId(s, e.producer));
+    if (!merge.Offer(e.event_id, map_.GlobalId(s, e.producer))) break;
   }
   // Remote push producers: replicas materialized in u's own shard, free.
-  // Contents are copied out under the producer's stripe (the lock a racing
-  // Publish holds).
+  // Each ascending replica is read under the producer's stripe (the lock a
+  // racing Publish holds).
   for (NodeId producer : cross_.PushProducers(u)) {
     std::lock_guard<std::mutex> stripe(StripeFor(producer));
-    for (uint64_t seq : cross_.ReadReplica(s, producer)) {
-      candidates.emplace_back(seq, producer);
-    }
+    merge.OfferAscending(cross_.ReadReplica(s, producer), producer);
   }
   // Remote pulls: one batched message per touched shard.
   std::span<const uint32_t> pull_shards = cross_.PullShards(u);
@@ -662,21 +665,11 @@ Result<std::vector<EventTuple>> ClusterService::QueryInternal(NodeId u,
       // to the producer so PerUserLoad follows the work when it moves.
       per_user_served_[producer].fetch_add(1, std::memory_order_relaxed);
       std::lock_guard<std::mutex> stripe(StripeFor(producer));
-      for (uint64_t seq : producer_seqs_[producer]) {
-        candidates.emplace_back(seq, producer);
-      }
+      merge.OfferAscending(producer_seqs_[producer], producer);
     }
   }
   cross_.CountQueryFanout(pull_shards);
-
-  std::sort(candidates.begin(), candidates.end(),
-            [](const auto& a, const auto& b) { return a.first > b.first; });
-  if (candidates.size() > feed_size_) candidates.resize(feed_size_);
-  std::vector<EventTuple> stream;
-  stream.reserve(candidates.size());
-  for (const auto& [seq, producer] : candidates) {
-    stream.push_back(EventTuple{producer, seq, seq});
-  }
+  std::vector<EventTuple> stream = std::move(merge).Take();
 
   if (force_audit) {
     PIGGY_RETURN_NOT_OK(AuditMerged(u, stream, token));

@@ -520,6 +520,10 @@ class ClusterService {
   obs::Counter* shares_ = nullptr;
   obs::Counter* queries_ = nullptr;
   obs::Counter* audited_queries_ = nullptr;
+  // Router wall latency per Share / query ("cluster.share_us",
+  // "cluster.query_us"), not recorded while Recover() replays the WAL.
+  obs::Histogram* share_us_ = nullptr;
+  obs::Histogram* query_us_ = nullptr;
   std::atomic<uint64_t> queries_since_audit_{0};
   // Churn counters: written under the exclusive lock, read under shared.
   size_t churn_ops_ = 0;

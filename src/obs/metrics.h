@@ -29,6 +29,8 @@
 #include <string>
 #include <vector>
 
+#include "util/timer.h"
+
 namespace piggy {
 namespace obs {
 
@@ -147,6 +149,24 @@ class Histogram {
   // fuzz puts floor(log(v/lo)/log(ratio)) one off.
   std::vector<double> bounds_;
   Stripe stripes_[kStripeCount];
+};
+
+/// \brief Records wall microseconds since construction into a histogram on
+/// destruction. Pass nullptr to disable (e.g. while Recover() replays the WAL
+/// through the public API — replayed traffic must not pollute the serving
+/// latency histograms).
+class ScopedLatency {
+ public:
+  explicit ScopedLatency(Histogram* h) : h_(h) {}
+  ScopedLatency(const ScopedLatency&) = delete;
+  ScopedLatency& operator=(const ScopedLatency&) = delete;
+  ~ScopedLatency() {
+    if (h_ != nullptr) h_->Record(timer_.Seconds() * 1e6);
+  }
+
+ private:
+  Histogram* h_;
+  WallTimer timer_;
 };
 
 /// \brief Point-in-time percentile summary of a histogram.

@@ -28,23 +28,6 @@ ClientMetrics SumMetrics(const ClientMetrics& a, const ClientMetrics& b) {
   return sum;
 }
 
-// Records wall microseconds into `h` on destruction. Pass nullptr to
-// disable (e.g. while Recover() replays the WAL through the public API —
-// replayed traffic must not pollute the serving latency histograms).
-class ScopedLatency {
- public:
-  explicit ScopedLatency(obs::Histogram* h) : h_(h) {}
-  ScopedLatency(const ScopedLatency&) = delete;
-  ScopedLatency& operator=(const ScopedLatency&) = delete;
-  ~ScopedLatency() {
-    if (h_ != nullptr) h_->Record(timer_.Seconds() * 1e6);
-  }
-
- private:
-  obs::Histogram* h_;
-  WallTimer timer_;
-};
-
 // Folds a planner's progress stream into one kPlanPhase span per optimizer
 // phase (progress callbacks are never concurrent, so plain state is safe).
 struct PlanPhaseTracer {
@@ -658,7 +641,7 @@ void FeedService::AccumulateClientMetrics() {
 }
 
 Status FeedService::Share(NodeId u) {
-  ScopedLatency latency(replaying_ ? nullptr : share_us_);
+  obs::ScopedLatency latency(replaying_ ? nullptr : share_us_);
   {
     std::shared_lock<std::shared_mutex> lock(mu_);
     if (u >= graph_.num_nodes()) {
@@ -681,7 +664,7 @@ Status FeedService::Share(NodeId u) {
 }
 
 Status FeedService::Share(NodeId u, uint64_t seq) {
-  ScopedLatency latency(replaying_ ? nullptr : share_us_);
+  obs::ScopedLatency latency(replaying_ ? nullptr : share_us_);
   {
     std::shared_lock<std::shared_mutex> lock(mu_);
     if (u >= graph_.num_nodes()) {
@@ -700,7 +683,7 @@ Status FeedService::Share(NodeId u, uint64_t seq) {
 }
 
 Result<std::vector<EventTuple>> FeedService::QueryStream(NodeId u) {
-  ScopedLatency latency(replaying_ ? nullptr : query_us_);
+  obs::ScopedLatency latency(replaying_ ? nullptr : query_us_);
   std::vector<EventTuple> stream;
   {
     std::shared_lock<std::shared_mutex> lock(mu_);
@@ -817,7 +800,7 @@ Status FeedService::ApplyChurnLocked(Status churn_result, bool added,
 }
 
 Status FeedService::Follow(NodeId follower, NodeId producer) {
-  ScopedLatency latency(replaying_ ? nullptr : follow_us_);
+  obs::ScopedLatency latency(replaying_ ? nullptr : follow_us_);
   {
     std::unique_lock<std::shared_mutex> lock(mu_);
     if (follower >= graph_.num_nodes() || producer >= graph_.num_nodes()) {
@@ -834,7 +817,7 @@ Status FeedService::Follow(NodeId follower, NodeId producer) {
 }
 
 Status FeedService::Unfollow(NodeId follower, NodeId producer) {
-  ScopedLatency latency(replaying_ ? nullptr : unfollow_us_);
+  obs::ScopedLatency latency(replaying_ ? nullptr : unfollow_us_);
   {
     std::unique_lock<std::shared_mutex> lock(mu_);
     if (follower >= graph_.num_nodes() || producer >= graph_.num_nodes()) {

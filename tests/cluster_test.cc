@@ -2,15 +2,20 @@
 // FeedService (schedules and audited query results identical), cross-shard
 // push/pull mechanics with replica materialization and batched fan-out, a
 // 2000-op churn lifecycle with every merged stream audited across >= 4
-// shards, and the edge-cut partitioner's cross-traffic win over hash
-// placement.
+// shards, the router's bounded newest-k merge against a sort-and-truncate
+// reference and under live churn and migration, router latency histograms,
+// and the edge-cut partitioner's cross-traffic win over hash placement.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster_service.h"
+#include "cluster/newest_k_merge.h"
 #include "gen/generators.h"
 #include "gen/presets.h"
 #include "graph/graph_builder.h"
@@ -338,6 +343,155 @@ TEST(ClusterServiceTest, DriveReplaysTheWorkloadWithAudits) {
   ClusterMetrics m = cluster->GetMetrics();
   EXPECT_EQ(m.shares + m.queries, 1500u);
   EXPECT_EQ(m.audited_queries, report.audited_queries);
+}
+
+// The merge's contract on its own: newest-first local list plus any number
+// of ascending per-producer sources, each holding at most k unique seqs,
+// must give exactly the k-prefix of the sorted union.
+TEST(NewestKMergeTest, MatchesSortAndTruncateReference) {
+  Rng rng(2024);
+  for (size_t k : {size_t{1}, size_t{3}, size_t{10}}) {
+    SCOPED_TRACE(k);
+    for (int trial = 0; trial < 200; ++trial) {
+      std::unordered_set<uint64_t> used;
+      auto fresh_seq = [&] {
+        for (;;) {
+          const uint64_t seq = 1 + rng.Uniform(100000);
+          if (used.insert(seq).second) return seq;
+        }
+      };
+      std::vector<std::pair<uint64_t, NodeId>> reference;
+
+      std::vector<EventTuple> local(rng.Uniform(2 * k + 1));
+      for (size_t j = 0; j < local.size(); ++j) {
+        local[j].producer = static_cast<NodeId>(1000 + j);
+        local[j].event_id = fresh_seq();
+        reference.emplace_back(local[j].event_id, local[j].producer);
+      }
+      std::sort(local.begin(), local.end(), [](const auto& a, const auto& b) {
+        return a.event_id > b.event_id;
+      });
+
+      std::vector<std::vector<uint64_t>> sources(rng.Uniform(201));
+      for (size_t i = 0; i < sources.size(); ++i) {
+        sources[i].resize(rng.Uniform(k + 1));
+        for (uint64_t& seq : sources[i]) {
+          seq = fresh_seq();
+          reference.emplace_back(seq, static_cast<NodeId>(i));
+        }
+        std::sort(sources[i].begin(), sources[i].end());
+      }
+
+      NewestKMerge merge(k);
+      for (const EventTuple& e : local) {
+        if (!merge.Offer(e.event_id, e.producer)) break;
+      }
+      for (size_t i = 0; i < sources.size(); ++i) {
+        merge.OfferAscending(sources[i], static_cast<NodeId>(i));
+      }
+      const std::vector<EventTuple> merged = std::move(merge).Take();
+
+      std::sort(reference.begin(), reference.end(),
+                [](const auto& a, const auto& b) { return a.first > b.first; });
+      if (reference.size() > k) reference.resize(k);
+      ASSERT_EQ(merged.size(), reference.size()) << "trial " << trial;
+      for (size_t i = 0; i < merged.size(); ++i) {
+        EXPECT_EQ(merged[i].event_id, reference[i].first) << "trial " << trial;
+        EXPECT_EQ(merged[i].producer, reference[i].second) << "trial " << trial;
+        EXPECT_EQ(merged[i].timestamp, merged[i].event_id);
+      }
+    }
+  }
+}
+
+// The merge inside the router: consumers whose local feed, push replicas and
+// pulled histories together hold more than feed_size events must still get
+// audit-exact streams through shares, churn and a live migration.
+TEST(ClusterServiceTest, BoundedMergeStaysAuditCleanWithOverfullSources) {
+  const size_t kNodes = 260;
+  Graph g = MakeFlickrLike(kNodes, 21).ValueOrDie();
+  ClusterOptions options = SmallCluster(4, "hybrid");
+  options.partitioner = "edge-cut";
+  const size_t k = options.shard.prototype.feed_size;
+  auto cluster = ClusterService::Create(g, options).MoveValueOrDie();
+
+  // Events each producer can contribute: histories and replicas are
+  // trimmed to the newest k seqs.
+  std::vector<size_t> shared(kNodes, 0);
+  size_t overfull = 0;
+  auto query = [&](NodeId u) {
+    const ShardMap& map = cluster->shard_map();
+    const uint32_t s = map.ShardOf(u);
+    size_t local = std::min(shared[u], k);
+    size_t remote = 0;
+    for (NodeId p : cluster->graph().InNeighbors(u)) {
+      (map.ShardOf(p) == s ? local : remote) += std::min(shared[p], k);
+    }
+    if (remote > 0 && std::min(local, k) + remote > k) ++overfull;
+    return cluster->QueryStream(u).status();
+  };
+
+  Rng rng(31);
+  for (int op = 0; op < 1600; ++op) {
+    if (op == 800) {
+      std::vector<UserMove> moves;
+      for (NodeId u = 0; u < kNodes; u += 37) {
+        const uint32_t from = cluster->shard_map().ShardOf(u);
+        moves.push_back(UserMove{u, static_cast<uint32_t>((from + 1) % 4)});
+      }
+      ASSERT_TRUE(cluster->MigrateUsers(moves).ok());
+    }
+    const double dice = rng.UniformDouble();
+    NodeId u = static_cast<NodeId>(rng.Uniform(kNodes));
+    NodeId v = static_cast<NodeId>(rng.Uniform(kNodes));
+    if (dice < 0.45) {
+      ASSERT_TRUE(cluster->Share(u).ok());
+      ++shared[u];
+    } else if (dice < 0.85) {
+      ASSERT_TRUE(query(u).ok()) << "audit failed at op " << op;
+    } else if (u != v && dice < 0.94) {
+      ASSERT_TRUE(cluster->Follow(u, v).ok());
+    } else if (u != v) {
+      ASSERT_TRUE(cluster->Unfollow(u, v).ok());
+    }
+  }
+  for (NodeId u = 0; u < kNodes; ++u) {
+    ASSERT_TRUE(query(u).ok()) << "audit failed for user " << u;
+  }
+  ASSERT_TRUE(cluster->Validate().ok());
+
+  const ClusterMetrics m = cluster->GetMetrics();
+  EXPECT_EQ(m.migrations, 1u);
+  EXPECT_GT(m.cross_edges, 0u);
+  EXPECT_GT(overfull, 0u);
+  // Single-threaded, unbounded views: every query was a complete audit.
+  EXPECT_EQ(m.audited_queries, m.queries);
+}
+
+// The router records its own latency: one histogram sample per routed Share
+// and per query, Drive's queries included.
+TEST(ClusterServiceTest, RouterLatencyHistogramsCountEveryRequest) {
+  Graph g = MakeFlickrLike(200, 4).ValueOrDie();
+  ClusterOptions options = SmallCluster(4, "nosy");
+  options.audit_every = 0;
+  auto cluster = ClusterService::Create(g, options).MoveValueOrDie();
+
+  DriverOptions traffic;
+  traffic.num_requests = 1000;
+  traffic.seed = 8;
+  ASSERT_TRUE(cluster->Drive(traffic).ok());
+  for (NodeId u = 0; u < 50; ++u) {
+    ASSERT_TRUE(cluster->Share(u).ok());
+    ASSERT_TRUE(cluster->QueryStream(u).ok());
+  }
+
+  obs::MetricsRegistry& registry = cluster->registry();
+  const uint64_t shares = registry.GetCounter("cluster.shares").Value();
+  const uint64_t queries = registry.GetCounter("cluster.queries").Value();
+  EXPECT_GT(shares, 50u);
+  EXPECT_GT(queries, 50u);
+  EXPECT_EQ(registry.GetHistogram("cluster.share_us").Count(), shares);
+  EXPECT_EQ(registry.GetHistogram("cluster.query_us").Count(), queries);
 }
 
 // The edge-cut partitioner's reason to exist: on a community-structured
