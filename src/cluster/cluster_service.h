@@ -134,7 +134,7 @@ struct ClusterMetrics {
   uint64_t audited_queries = 0;         ///< cluster-level merged-stream audits
   uint64_t cross_update_messages = 0;   ///< remote-push fan-out + backfills
   uint64_t cross_query_messages = 0;    ///< remote-pull fan-out
-  size_t interest_bytes = 0;    ///< resident interest-set bytes (shard sum)
+  size_t interest_bytes = 0;    ///< resident keep-set bytes (shard sum)
   double interest_bytes_per_edge = 0;  ///< interest_bytes / cluster edges
   std::vector<uint64_t> per_shard_requests;  ///< requests routed per shard
   double imbalance = 0;  ///< max/mean of per_shard_requests (1 = even)

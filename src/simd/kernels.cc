@@ -386,23 +386,26 @@ __attribute__((target("avx2"))) void FilterUncoveredAvx2(
   FilterUncoveredScalar(covered, p, c, edge, i, n, out);
 }
 
-// Membership of 8 gathered keys in the sorted `interest` span via a
-// lane-parallel lower_bound (every lane descends its own bisection using
-// gathers; compares are sign-biased so arbitrary uint32 keys order
-// correctly). Returns a lane mask of found keys.
-__attribute__((target("avx2"))) int InterestMask8(
-    const uint32_t* keys, size_t stride_u32, size_t first_record,
-    std::span<const NodeId> interest) {
-  const int m = static_cast<int>(interest.size());
+// The keys of records [first_record, first_record + 8), one per lane.
+__attribute__((target("avx2"))) __m256i GatherKeys8(const uint32_t* keys,
+                                                    size_t stride_u32,
+                                                    size_t first_record) {
   const __m256i stride = _mm256_set1_epi32(static_cast<int>(stride_u32));
   const __m256i lane_ids = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
   const __m256i base =
       _mm256_set1_epi32(static_cast<int>(first_record * stride_u32));
   const __m256i offsets =
       _mm256_add_epi32(base, _mm256_mullo_epi32(lane_ids, stride));
-  const __m256i vkeys = _mm256_i32gather_epi32(
-      reinterpret_cast<const int*>(keys), offsets, 4);
+  return _mm256_i32gather_epi32(reinterpret_cast<const int*>(keys), offsets, 4);
+}
 
+// Membership of 8 keys in the sorted `interest` span via a lane-parallel
+// lower_bound (every lane descends its own bisection using gathers;
+// compares are sign-biased so arbitrary uint32 keys order correctly).
+// Returns a lane mask of found keys.
+__attribute__((target("avx2"))) int InterestMask8(__m256i vkeys,
+                                                  std::span<const NodeId> interest) {
+  const int m = static_cast<int>(interest.size());
   const __m256i bias = _mm256_set1_epi32(static_cast<int>(0x80000000u));
   const __m256i keys_b = _mm256_xor_si256(vkeys, bias);
   const __m256i one = _mm256_set1_epi32(1);
@@ -432,14 +435,37 @@ __attribute__((target("avx2"))) int InterestMask8(
       _mm256_castsi256_ps(_mm256_and_si256(in_bounds, eq)));
 }
 
+// Membership of 8 keys in a set of at most kSmallSetMax members, each
+// pre-broadcast to all lanes: one compare per member, no gathers.
+__attribute__((target("avx2"))) int SmallSetMask8(__m256i vkeys,
+                                                  const __m256i* members,
+                                                  size_t m) {
+  __m256i match = _mm256_setzero_si256();
+  for (size_t j = 0; j < m; ++j) {
+    match = _mm256_or_si256(match, _mm256_cmpeq_epi32(vkeys, members[j]));
+  }
+  return _mm256_movemask_ps(_mm256_castsi256_ps(match));
+}
+
 __attribute__((target("avx2"))) void SelectKeyedAvx2(
     const uint32_t* keys, size_t stride_u32, size_t n,
     std::span<const NodeId> interest, size_t k, std::vector<uint32_t>* out) {
+  // Small sets (a reader's keep set of a hub view) compare each key block
+  // against every member; larger ones bisect.
+  const bool small = interest.size() <= kSmallSetMax;
+  __m256i members[kSmallSetMax];
+  if (small) {
+    for (size_t j = 0; j < interest.size(); ++j) {
+      members[j] = _mm256_set1_epi32(static_cast<int>(interest[j]));
+    }
+  }
   size_t taken = 0;
   size_t end = n;
   while (end >= 8 && taken < k) {
     const size_t first = end - 8;
-    const int mask = InterestMask8(keys, stride_u32, first, interest);
+    const __m256i vkeys = GatherKeys8(keys, stride_u32, first);
+    const int mask = small ? SmallSetMask8(vkeys, members, interest.size())
+                           : InterestMask8(vkeys, interest);
     if (mask != 0) {
       for (int lane = 7; lane >= 0 && taken < k; --lane) {
         if (mask & (1 << lane)) {

@@ -75,6 +75,11 @@ void FilterUncoveredPairsInto(const uint8_t* covered, const uint32_t* p,
                               const uint32_t* c, const uint32_t* edge, size_t n,
                               std::vector<std::pair<uint32_t, uint32_t>>* out);
 
+/// Largest `interest` span SelectKeyedNewestInto's AVX2 path matches by
+/// comparing each key against every member; larger spans take a
+/// gather-based binary search. Both give the scalar reference's output.
+inline constexpr size_t kSmallSetMax = 16;
+
 /// Newest-first interest filter over one stored view (the QueryBatch inner
 /// loop). `keys` points at the first 32-bit key of `n` records laid out
 /// `stride_u32` 32-bit words apart (keys[i * stride_u32] is record i's key);

@@ -12,26 +12,10 @@
 
 namespace piggy {
 
-namespace {
-
-// True iff sorted `sub` is a subset of sorted `super`.
-bool SortedSubset(std::span<const NodeId> sub, std::span<const NodeId> super) {
-  if (sub.size() > super.size()) return false;
-  auto it = super.begin();
-  for (NodeId v : sub) {
-    it = std::lower_bound(it, super.end(), v);
-    if (it == super.end() || *it != v) return false;
-    ++it;
-  }
-  return true;
-}
-
-}  // namespace
-
 AppClient::AppClient(const Graph& graph, const Schedule& schedule,
                      const Partitioner* partitioner, std::vector<ViewStore>* servers,
                      size_t feed_size)
-    : graph_(graph), partitioner_(partitioner), servers_(servers), feed_size_(feed_size) {
+    : partitioner_(partitioner), servers_(servers), feed_size_(feed_size) {
   PIGGY_CHECK(partitioner_ != nullptr);
   PIGGY_CHECK(servers_ != nullptr);
   PIGGY_CHECK_EQ(servers_->size(), partitioner_->num_servers());
@@ -39,36 +23,10 @@ AppClient::AppClient(const Graph& graph, const Schedule& schedule,
   const size_t n = graph.num_nodes();
   push_views_ = schedule.BuildPushSets(n);
   pull_views_ = schedule.BuildPullSets(n);
-  interest_.resize(n);
   for (NodeId u = 0; u < n; ++u) {
     // Own view first in both lists (updates and queries always touch it).
     push_views_[u].insert(push_views_[u].begin(), u);
     pull_views_[u].insert(pull_views_[u].begin(), u);
-    auto followees = graph.InNeighbors(u);
-    interest_[u].reserve(followees.size() + 1);
-    interest_[u].assign(followees.begin(), followees.end());
-    auto it = std::lower_bound(interest_[u].begin(), interest_[u].end(), u);
-    interest_[u].insert(it, u);
-  }
-  // Schedule-implied membership: view w can only ever contain events from
-  // producers whose push set includes w. When that producer set is a subset
-  // of interest[u] for every view u pulls, the query-side interest filter is
-  // an identity — mark u filter-free and its queries skip the filter
-  // entirely. Covers the common non-hub pulls: own views and followee-owned
-  // views.
-  std::vector<std::vector<NodeId>> sources(n);
-  for (NodeId u = 0; u < n; ++u) {
-    // Ascending u keeps every sources[w] sorted.
-    for (NodeId w : push_views_[u]) sources[w].push_back(u);
-  }
-  filter_free_.assign(n, 1);
-  for (NodeId u = 0; u < n; ++u) {
-    for (NodeId w : pull_views_[u]) {
-      if (!SortedSubset(sources[w], interest_[u])) {
-        filter_free_[u] = 0;
-        break;
-      }
-    }
   }
 
   // The placement is fixed for this client's lifetime: group every request's
@@ -78,10 +36,50 @@ AppClient::AppClient(const Graph& graph, const Schedule& schedule,
   push_batches_ = BatchPlan::Build(push_views_, server_of, servers_->size());
   pull_batches_ = BatchPlan::Build(pull_views_, server_of, servers_->size());
 
-  interest_bytes_ = interest_.size() * sizeof(std::vector<NodeId>);
-  for (const std::vector<NodeId>& list : interest_) {
-    interest_bytes_ += list.capacity() * sizeof(NodeId);
+  // Schedule-implied membership: view w can only ever contain events from
+  // producers whose push set includes w (its sources). A query batch's keep
+  // set is the union of its views' sources intersected with u's interest
+  // set {u} ∪ followees(u); filtering by it selects exactly what the full
+  // interest set would. When the union lies inside the interest set the
+  // filter is an identity and the batch is unfiltered — the common case for
+  // own views and followee-owned views.
+  std::vector<std::vector<NodeId>> sources(n);
+  for (NodeId u = 0; u < n; ++u) {
+    for (NodeId w : push_views_[u]) sources[w].push_back(u);
   }
+  // interest_of[v] == u marks v as in u's interest set while u is built;
+  // seen[v] == b marks v as already considered for batch b.
+  constexpr uint32_t kNone = UINT32_MAX;
+  std::vector<NodeId> interest_of(n, kNone);
+  std::vector<uint32_t> seen(n, kNone);
+  keep_.reserve(pull_batches_.batches.size());
+  for (NodeId u = 0; u < n; ++u) {
+    interest_of[u] = u;
+    for (NodeId v : graph.InNeighbors(u)) interest_of[v] = u;
+    for (uint32_t b = pull_batches_.first[u]; b < pull_batches_.first[u + 1]; ++b) {
+      const BatchPlan::Batch& batch = pull_batches_.batches[b];
+      const size_t begin = keep_nodes_.size();
+      bool filtered = false;
+      for (uint32_t i = batch.begin; i < batch.end; ++i) {
+        for (NodeId v : sources[pull_batches_.views[i]]) {
+          if (seen[v] == b) continue;
+          seen[v] = b;
+          if (interest_of[v] == u) {
+            keep_nodes_.push_back(v);
+          } else {
+            filtered = true;
+          }
+        }
+      }
+      if (!filtered) keep_nodes_.resize(begin);
+      std::sort(keep_nodes_.begin() + static_cast<std::ptrdiff_t>(begin), keep_nodes_.end());
+      PIGGY_CHECK_LE(keep_nodes_.size(), size_t{UINT32_MAX});
+      keep_.push_back({static_cast<uint32_t>(begin),
+                       static_cast<uint32_t>(keep_nodes_.size()), filtered});
+    }
+  }
+  keep_nodes_.shrink_to_fit();
+  interest_bytes_ = keep_.capacity() * sizeof(Keep) + keep_nodes_.capacity() * sizeof(NodeId);
 }
 
 AppClient::BatchPlan AppClient::BatchPlan::Build(
@@ -134,34 +132,72 @@ AppClient::BatchPlan AppClient::BatchPlan::Build(
   return plan;
 }
 
+ClientMetrics AppClient::metrics() const {
+  ClientMetrics m;
+  m.share_requests = share_requests_.Value() -
+                     baseline_.share_requests.load(std::memory_order_relaxed);
+  m.query_requests = query_requests_.Value() -
+                     baseline_.query_requests.load(std::memory_order_relaxed);
+  m.update_messages = update_messages_.Value() -
+                      baseline_.update_messages.load(std::memory_order_relaxed);
+  m.query_messages = query_messages_.Value() -
+                     baseline_.query_messages.load(std::memory_order_relaxed);
+  return m;
+}
+
+void AppClient::ResetMetrics() {
+  baseline_.share_requests.store(share_requests_.Value(), std::memory_order_relaxed);
+  baseline_.query_requests.store(query_requests_.Value(), std::memory_order_relaxed);
+  baseline_.update_messages.store(update_messages_.Value(), std::memory_order_relaxed);
+  baseline_.query_messages.store(query_messages_.Value(), std::memory_order_relaxed);
+}
+
+bool AppClient::QueryFilterFree(NodeId u) const {
+  for (uint32_t b = pull_batches_.first[u]; b < pull_batches_.first[u + 1]; ++b) {
+    if (keep_[b].filtered) return false;
+  }
+  return true;
+}
+
+std::optional<std::span<const NodeId>> AppClient::KeepSet(NodeId u, size_t i) const {
+  PIGGY_CHECK_LT(i, pull_batches_.NumBatches(u));
+  const Keep& keep = keep_[pull_batches_.first[u] + i];
+  if (!keep.filtered) return std::nullopt;
+  return Members(keep);
+}
+
 void AppClient::ShareEvent(NodeId u, uint64_t event_id, uint64_t timestamp) {
   PIGGY_CHECK_LT(u, push_views_.size());
-  share_requests_.fetch_add(1, std::memory_order_relaxed);
+  share_requests_.Add();
   const EventTuple event{u, event_id, timestamp};
   push_batches_.ForEach(u, [&](uint32_t server, std::span<const NodeId> views) {
     (*servers_)[server].UpdateBatch(views, event);
   });
-  update_messages_.fetch_add(push_batches_.NumBatches(u), std::memory_order_relaxed);
+  update_messages_.Add(push_batches_.NumBatches(u));
 }
 
 std::vector<EventTuple> AppClient::QueryStream(NodeId u) {
   PIGGY_CHECK_LT(u, pull_views_.size());
-  query_requests_.fetch_add(1, std::memory_order_relaxed);
-  // Filter-free users (schedule-implied membership, see the constructor)
-  // skip the interest filter; filtered users read interest_[u] directly.
-  // The merge buffer is thread_local, not per-call: each serving thread
-  // owning one buffer keeps concurrent queries allocation-free and
-  // race-free (it never escapes this call; the result is a copy).
-  const bool filtered = filter_free_[u] == 0;
+  query_requests_.Add();
+  // Each batch is filtered by its keep set, or not at all (see the
+  // constructor). The merge buffer is thread_local, not per-call: each
+  // serving thread owning one buffer keeps concurrent queries
+  // allocation-free and race-free (it never escapes this call; the result
+  // is a copy).
   static thread_local std::vector<EventTuple> merged;
   merged.clear();
-  pull_batches_.ForEach(u, [&](uint32_t server, std::span<const NodeId> views) {
-    ViewStore& store = (*servers_)[server];
-    std::vector<EventTuple> part = filtered ? store.QueryBatch(views, interest_[u], feed_size_)
-                                            : store.QueryBatch(views, feed_size_);
+  for (uint32_t b = pull_batches_.first[u]; b < pull_batches_.first[u + 1]; ++b) {
+    const BatchPlan::Batch& batch = pull_batches_.batches[b];
+    const std::span<const NodeId> views(pull_batches_.views.data() + batch.begin,
+                                        batch.end - batch.begin);
+    const Keep& keep = keep_[b];
+    ViewStore& store = (*servers_)[batch.server];
+    std::vector<EventTuple> part = keep.filtered
+                                       ? store.QueryBatch(views, Members(keep), feed_size_)
+                                       : store.QueryBatch(views, feed_size_);
     merged.insert(merged.end(), part.begin(), part.end());
-  });
-  query_messages_.fetch_add(pull_batches_.NumBatches(u), std::memory_order_relaxed);
+  }
+  query_messages_.Add(pull_batches_.NumBatches(u));
   KeepTopKNewest(&merged, feed_size_);
   return merged;
 }

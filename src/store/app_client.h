@@ -11,21 +11,29 @@
 // Push and pull sets come from the request schedule; the client logic is
 // schedule-agnostic exactly as the paper stresses. The schedule and the
 // placement are fixed for a client's lifetime, so each user's per-server
-// message batches are computed once, at construction.
+// message batches are computed once, at construction — and with them each
+// query batch's keep set: the producers the batch's views can hold that u
+// follows (or u itself). A view only ever holds events of its push sources,
+// so filtering a batch by its keep set selects exactly what u's full
+// interest set {u} ∪ followees(u) would, while the filter's cost follows
+// what u keeps rather than how many producers u follows.
 //
-// Thread safety: the materialized view lists and batches are immutable after
-// construction and the counters are relaxed atomics — ShareEvent /
-// QueryStream may be called from any number of threads concurrently.
+// Thread safety: the materialized view lists, batches and keep sets are
+// immutable after construction and the counters are thread-striped relaxed
+// atomics — ShareEvent / QueryStream may be called from any number of
+// threads concurrently without writing a shared cache line.
 
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
 #include "core/schedule.h"
 #include "graph/graph.h"
+#include "obs/metrics.h"
 #include "store/partitioner.h"
 #include "store/view_store.h"
 
@@ -50,7 +58,8 @@ struct ClientMetrics {
 /// \brief One application-logic server acting as data-store client.
 class AppClient {
  public:
-  /// \param graph       social graph (borrowed); provides interest sets
+  /// \param graph       social graph (borrowed only during construction);
+  ///                    provides interest sets
   /// \param schedule    request schedule (borrowed only during construction)
   /// \param partitioner view placement (borrowed)
   /// \param servers     data-store fleet (borrowed, mutated by requests)
@@ -65,21 +74,12 @@ class AppClient {
   /// Assembles u's event stream (Algorithm 3, query path).
   std::vector<EventTuple> QueryStream(NodeId u);
 
-  /// Snapshot of the counters (relaxed loads; exact once writers quiesce).
-  ClientMetrics metrics() const {
-    ClientMetrics m;
-    m.share_requests = share_requests_.load(std::memory_order_relaxed);
-    m.query_requests = query_requests_.load(std::memory_order_relaxed);
-    m.update_messages = update_messages_.load(std::memory_order_relaxed);
-    m.query_messages = query_messages_.load(std::memory_order_relaxed);
-    return m;
-  }
-  void ResetMetrics() {
-    share_requests_.store(0, std::memory_order_relaxed);
-    query_requests_.store(0, std::memory_order_relaxed);
-    update_messages_.store(0, std::memory_order_relaxed);
-    query_messages_.store(0, std::memory_order_relaxed);
-  }
+  /// Snapshot of the counters since the last ResetMetrics (relaxed loads;
+  /// exact once writers quiesce).
+  ClientMetrics metrics() const;
+  /// Restarts the counters from zero: records the current totals as the
+  /// baseline that metrics() subtracts (the striped counters never go back).
+  void ResetMetrics();
 
   /// The views written on u's shares (own view first).
   std::span<const NodeId> PushViews(NodeId u) const { return push_views_[u]; }
@@ -99,17 +99,23 @@ class AppClient {
     pull_batches_.ForEach(u, fn);
   }
 
-  /// True when u's queries skip the interest filter entirely: the schedule
-  /// guarantees every producer that can land in u's pulled views is already
-  /// in u's interest set (precomputed at construction).
-  bool QueryFilterFree(NodeId u) const { return filter_free_[u] != 0; }
+  /// True when u's queries skip the interest filter entirely: no batch of u
+  /// is filtered, i.e. the schedule guarantees every producer that can land
+  /// in u's pulled views is already in u's interest set.
+  bool QueryFilterFree(NodeId u) const;
 
-  /// Resident bytes of the interest sets (payload plus per-list vector
-  /// bookkeeping).
+  /// The keep set query batch `i` of u (in ForEachPullBatch order) filters
+  /// by: the sorted producers whose events the batch's views can hold and
+  /// that lie in u's interest set {u} ∪ followees(u). nullopt when the batch
+  /// is unfiltered (every producer its views can hold is interesting).
+  std::optional<std::span<const NodeId>> KeepSet(NodeId u, size_t i) const;
+
+  /// Resident bytes of the query-side filter state: the filtered batches'
+  /// keep sets plus the per-batch keep-set index (no per-user interest set
+  /// is kept).
   size_t InterestBytes() const { return interest_bytes_; }
 
  private:
-  const Graph& graph_;
   const Partitioner* partitioner_;
   std::vector<ViewStore>* servers_;
   size_t feed_size_;
@@ -118,19 +124,21 @@ class AppClient {
   // Immutable after construction (rebuilds create a fresh client).
   std::vector<std::vector<NodeId>> push_views_;
   std::vector<std::vector<NodeId>> pull_views_;
-  // interest[u] = sorted {u} ∪ followees(u); the query-side filter.
-  std::vector<std::vector<NodeId>> interest_;
   size_t interest_bytes_ = 0;
-  // filter_free_[u] != 0 when every producer reachable through u's pull set
-  // is schedule-guaranteed to be in interest[u], making the query-side
-  // filter an identity — those queries never touch the interest set. One
-  // byte per user, immutable after construction.
-  std::vector<uint8_t> filter_free_;
 
-  std::atomic<uint64_t> share_requests_{0};
-  std::atomic<uint64_t> query_requests_{0};
-  std::atomic<uint64_t> update_messages_{0};
-  std::atomic<uint64_t> query_messages_{0};
+  // Striped so concurrent requests never write one cache line; the baseline
+  // holds the totals at the last ResetMetrics.
+  obs::Counter share_requests_;
+  obs::Counter query_requests_;
+  obs::Counter update_messages_;
+  obs::Counter query_messages_;
+  struct Baseline {
+    std::atomic<uint64_t> share_requests{0};
+    std::atomic<uint64_t> query_requests{0};
+    std::atomic<uint64_t> update_messages{0};
+    std::atomic<uint64_t> query_messages{0};
+  };
+  Baseline baseline_;
 
   // Every user's view list regrouped into per-server message batches, in
   // CSR form: user u's batches are batches[first[u], first[u + 1]) and batch
@@ -159,6 +167,21 @@ class AppClient {
   };
   BatchPlan push_batches_;
   BatchPlan pull_batches_;
+
+  // Keep sets of the query batches, indexed like pull_batches_.batches:
+  // batch b filters by keep_nodes_[keep_[b].begin, keep_[b].end), or not at
+  // all when !keep_[b].filtered. Only filtered batches store members.
+  // Immutable after construction.
+  struct Keep {
+    uint32_t begin;
+    uint32_t end;
+    bool filtered;
+  };
+  std::vector<Keep> keep_;
+  std::vector<NodeId> keep_nodes_;
+  std::span<const NodeId> Members(const Keep& keep) const {
+    return {keep_nodes_.data() + keep.begin, keep.end - keep.begin};
+  }
 };
 
 }  // namespace piggy

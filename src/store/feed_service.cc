@@ -691,14 +691,19 @@ Result<std::vector<EventTuple>> FeedService::QueryStream(NodeId u) {
       return Status::InvalidArgument(StrFormat("unknown user %u", u));
     }
     PIGGY_RETURN_NOT_OK(EnsureServing(lock));
-    // Token before the query: audits stay exact in single-threaded use and
-    // downgrade to soundness-only when a share overlapped this query.
-    Prototype::AuditToken token = prototype_->BeginAudit();
-    stream = prototype_->QueryStream(u);
-    if (options_.audit_every > 0 &&
+    const bool audit =
+        options_.audit_every > 0 &&
         (queries_since_audit_.fetch_add(1, std::memory_order_relaxed) + 1) %
                 options_.audit_every ==
-            0) {
+            0;
+    if (!audit) {
+      // No token: it reads the share-written in-flight count and log version.
+      stream = prototype_->QueryStream(u);
+    } else {
+      // Token before the query: audits stay exact in single-threaded use and
+      // downgrade to soundness-only when a share overlapped this query.
+      const Prototype::AuditToken token = prototype_->BeginAudit();
+      stream = prototype_->QueryStream(u);
       PIGGY_RETURN_NOT_OK(prototype_->AuditStream(u, stream, token));
       audited_queries_.fetch_add(1, std::memory_order_relaxed);
     }

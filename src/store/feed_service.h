@@ -210,7 +210,7 @@ class FeedService {
     uint64_t audited_queries = 0;
     double messages_per_request = 0;
     double actual_throughput = 0;  ///< modeled req/s per client
-    size_t interest_bytes = 0;     ///< resident interest-set bytes
+    size_t interest_bytes = 0;     ///< resident keep-set bytes (AppClient)
     double interest_bytes_per_edge = 0;  ///< interest_bytes / graph edges
 
     std::string ToString() const;

@@ -77,8 +77,9 @@ class ViewStore {
 
   /// Applies one batched query message: returns the `k` newest events across
   /// `views` whose producer appears in the sorted `interest` span. The
-  /// interest filter is what keeps a pull from a hub's view from leaking
-  /// events of producers the querying user does not follow.
+  /// filter is what keeps a pull from a hub's view from leaking events of
+  /// producers the querying user does not follow; AppClient passes the
+  /// batch's keep set, the followed producers that can reach these views.
   std::vector<EventTuple> QueryBatch(std::span<const NodeId> views,
                                      std::span<const NodeId> interest, size_t k);
 

@@ -224,34 +224,39 @@ TEST(SimdCoverageTest, FilterUncoveredPairsMatchScalarOnEveryTier) {
 TEST(SimdSelectTest, NewestFirstSelectionMatchesScalarOnEveryTier) {
   Rng rng(424242);
   constexpr size_t kStride = 6;  // sizeof(EventTuple) / sizeof(uint32_t)
+  // Set sizes on both sides of the AVX2 small-set threshold.
+  static_assert(simd::kSmallSetMax == 16, "set sizes must straddle the threshold");
   for (size_t n : {size_t{0}, size_t{1}, size_t{7}, size_t{8}, size_t{9},
                    size_t{128}, size_t{301}}) {
     std::vector<uint32_t> records(n * kStride, 0);
     for (size_t i = 0; i < n; ++i) {
       records[i * kStride] = static_cast<uint32_t>(rng.Uniform(64));
     }
-    std::vector<NodeId> interest = SortedRandomSet(rng, 16, 64);
-    for (size_t k : {size_t{0}, size_t{1}, size_t{10}, n + 5}) {
-      std::vector<uint32_t> expect;
-      {
-        TierGuard guard(simd::Tier::kScalar);
-        simd::SelectKeyedNewestInto(records.data(), kStride, n, interest, k, &expect);
-      }
-      // The scalar reference itself must equal the plain reverse scan.
-      std::vector<uint32_t> naive;
-      for (size_t i = n; i-- > 0 && naive.size() < k;) {
-        if (std::binary_search(interest.begin(), interest.end(),
-                               records[i * kStride])) {
-          naive.push_back(static_cast<uint32_t>(i));
+    for (size_t m : {size_t{0}, size_t{1}, size_t{2}, size_t{8}, size_t{16},
+                     size_t{17}, size_t{64}}) {
+      const std::vector<NodeId> interest = SortedRandomSet(rng, m, 64);
+      for (size_t k : {size_t{0}, size_t{1}, size_t{10}, n + 5}) {
+        std::vector<uint32_t> expect;
+        {
+          TierGuard guard(simd::Tier::kScalar);
+          simd::SelectKeyedNewestInto(records.data(), kStride, n, interest, k, &expect);
         }
-      }
-      ASSERT_EQ(expect, naive) << "n=" << n << " k=" << k;
-      for (simd::Tier tier : TestableTiers()) {
-        TierGuard guard(tier);
-        std::vector<uint32_t> got;
-        simd::SelectKeyedNewestInto(records.data(), kStride, n, interest, k, &got);
-        EXPECT_EQ(got, expect)
-            << "n=" << n << " k=" << k << " @ " << simd::TierName(tier);
+        // The scalar reference itself must equal the plain reverse scan.
+        std::vector<uint32_t> naive;
+        for (size_t i = n; i-- > 0 && naive.size() < k;) {
+          if (std::binary_search(interest.begin(), interest.end(),
+                                 records[i * kStride])) {
+            naive.push_back(static_cast<uint32_t>(i));
+          }
+        }
+        ASSERT_EQ(expect, naive) << "n=" << n << " m=" << m << " k=" << k;
+        for (simd::Tier tier : TestableTiers()) {
+          TierGuard guard(tier);
+          std::vector<uint32_t> got;
+          simd::SelectKeyedNewestInto(records.data(), kStride, n, interest, k, &got);
+          EXPECT_EQ(got, expect) << "n=" << n << " m=" << m << " k=" << k << " @ "
+                                 << simd::TierName(tier);
+        }
       }
     }
   }

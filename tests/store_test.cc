@@ -2,14 +2,18 @@
 
 #include <algorithm>
 #include <map>
+#include <numeric>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "graph/graph_builder.h"
 #include "core/baselines.h"
 #include "core/chitchat.h"
+#include "core/planner.h"
 #include "gen/generators.h"
+#include "gen/presets.h"
 #include "store/app_client.h"
 #include "store/partitioner.h"
 #include "store/view_store.h"
@@ -443,6 +447,159 @@ TEST(AppClientTest, StreamsMatchOracleOnHubsAndFastPaths) {
       EXPECT_GT(filtered, 0u);
     }
   }
+}
+
+TEST(AppClientTest, KeepSetStreamsMatchFullInterestMerge) {
+  // Filtering each query batch by its keep set must return exactly what the
+  // full interest set {u} ∪ followees(u) selects from the same views, on
+  // every schedule shape and through trimming: shares arrive with permuted
+  // and late timestamps, and after each burst every user's stream is
+  // compared with the full-interest merge over the same server batches.
+  constexpr size_t kUsers = 240;
+  constexpr size_t kFeed = 10;
+  Graph g = MakeFlickrLike(kUsers, 19).ValueOrDie();
+  Workload w = GenerateWorkload(g, {.min_rate = 0.05}).ValueOrDie();
+  std::vector<std::pair<std::string, Schedule>> cases;
+  cases.emplace_back("pull-all", PullAllSchedule(g));
+  cases.emplace_back("hybrid", HybridSchedule(g, w));
+  cases.emplace_back("chitchat", RunChitChat(g, w).ValueOrDie());
+  cases.emplace_back("nosy",
+                     MakePlanner("nosy").ValueOrDie()->Plan(g, w).MoveValueOrDie().schedule);
+  size_t all_filtered = 0;
+  size_t none_filtered = 0;
+  size_t mixed = 0;
+  for (const auto& [name, s] : cases) {
+    for (size_t capacity : {size_t{0}, size_t{3}, size_t{128}}) {
+      SCOPED_TRACE(testing::Message() << name << " capacity " << capacity);
+      HashPartitioner part(3);
+      std::vector<ViewStore> servers;
+      for (uint32_t i = 0; i < 3; ++i) servers.emplace_back(i, capacity);
+      AppClient client(g, s, &part, &servers, kFeed);
+      std::vector<std::vector<NodeId>> interest(kUsers);
+      for (NodeId u = 0; u < kUsers; ++u) {
+        auto followees = g.InNeighbors(u);
+        interest[u].assign(followees.begin(), followees.end());
+        interest[u].push_back(u);
+        std::sort(interest[u].begin(), interest[u].end());
+        size_t batches = 0;
+        size_t filtered = 0;
+        client.ForEachPullBatch(u, [&](uint32_t, std::span<const NodeId>) {
+          if (auto keep = client.KeepSet(u, batches)) {
+            ++filtered;
+            EXPECT_TRUE(std::includes(interest[u].begin(), interest[u].end(),
+                                      keep->begin(), keep->end()));
+          }
+          ++batches;
+        });
+        EXPECT_EQ(client.QueryFilterFree(u), filtered == 0) << "user " << u;
+        if (capacity == 0) {
+          if (filtered == 0) {
+            ++none_filtered;
+          } else if (filtered == batches) {
+            ++all_filtered;
+          } else {
+            ++mixed;
+          }
+        }
+      }
+      auto full_interest_merge = [&](NodeId u) {
+        std::vector<EventTuple> merged;
+        client.ForEachPullBatch(u, [&](uint32_t server, std::span<const NodeId> views) {
+          std::vector<EventTuple> reply =
+              servers[server].QueryBatch(views, interest[u], kFeed);
+          merged.insert(merged.end(), reply.begin(), reply.end());
+        });
+        KeepTopKNewest(&merged, kFeed);
+        return merged;
+      };
+      Rng rng(capacity + 7);
+      uint64_t event_id = 1;
+      uint64_t clock = 1000;
+      for (int burst = 0; burst < 4; ++burst) {
+        // The burst's timestamps are a permutation of its time slots; every
+        // fourth share is late, stamped before the burst began.
+        constexpr size_t kShares = 400;
+        std::vector<uint64_t> stamps(kShares);
+        std::iota(stamps.begin(), stamps.end(), clock);
+        rng.Shuffle(stamps);
+        for (uint64_t stamp : stamps) {
+          const uint64_t ts = rng.Uniform(4) == 0 ? 1 + rng.Uniform(clock - 1) : stamp;
+          client.ShareEvent(static_cast<NodeId>(rng.Uniform(kUsers)), event_id++, ts);
+        }
+        clock += kShares;
+        for (NodeId u = 0; u < kUsers; ++u) {
+          ASSERT_EQ(client.QueryStream(u), full_interest_merge(u))
+              << "user " << u << " after burst " << burst;
+        }
+      }
+    }
+  }
+  // Every kind of user occurs: all batches filtered, none, and a mix.
+  EXPECT_GT(all_filtered, 0u);
+  EXPECT_GT(none_filtered, 0u);
+  EXPECT_GT(mixed, 0u);
+}
+
+TEST(AppClientTest, StripedCountersAreExactUnderConcurrency) {
+  // Threads share and query on one client at once; once they join, the
+  // counters hold the exact totals, and after a reset they count anew.
+  constexpr size_t kUsers = 120;
+  constexpr size_t kThreads = 4;
+  constexpr size_t kOpsPerThread = 1500;
+  Graph g = MakeFlickrLike(kUsers, 23).ValueOrDie();
+  Workload w = GenerateWorkload(g, {.min_rate = 0.05}).ValueOrDie();
+  Schedule s = RunChitChat(g, w).ValueOrDie();
+  HashPartitioner part(4);
+  std::vector<ViewStore> servers;
+  for (uint32_t i = 0; i < 4; ++i) servers.emplace_back(i, size_t{16});
+  AppClient client(g, s, &part, &servers, 10);
+  std::vector<uint64_t> push_batches(kUsers, 0);
+  std::vector<uint64_t> pull_batches(kUsers, 0);
+  for (NodeId u = 0; u < kUsers; ++u) {
+    client.ForEachPushBatch(u, [&](uint32_t, auto) { ++push_batches[u]; });
+    client.ForEachPullBatch(u, [&](uint32_t, auto) { ++pull_batches[u]; });
+  }
+  // Runs one round of traffic and returns the totals it must have counted.
+  auto run_round = [&](uint64_t seed) {
+    std::vector<ClientMetrics> expect(kThreads);
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        Rng rng(seed * 100 + t);
+        for (size_t i = 0; i < kOpsPerThread; ++i) {
+          const NodeId u = static_cast<NodeId>(rng.Uniform(kUsers));
+          if (rng.Bernoulli(0.3)) {
+            client.ShareEvent(u, seed * 1000000 + t * kOpsPerThread + i, i + 1);
+            ++expect[t].share_requests;
+            expect[t].update_messages += push_batches[u];
+          } else {
+            client.QueryStream(u);
+            ++expect[t].query_requests;
+            expect[t].query_messages += pull_batches[u];
+          }
+        }
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+    ClientMetrics total;
+    for (const ClientMetrics& m : expect) {
+      total.share_requests += m.share_requests;
+      total.query_requests += m.query_requests;
+      total.update_messages += m.update_messages;
+      total.query_messages += m.query_messages;
+    }
+    return total;
+  };
+  auto expect_equal = [](const ClientMetrics& got, const ClientMetrics& want) {
+    EXPECT_EQ(got.share_requests, want.share_requests);
+    EXPECT_EQ(got.query_requests, want.query_requests);
+    EXPECT_EQ(got.update_messages, want.update_messages);
+    EXPECT_EQ(got.query_messages, want.query_messages);
+  };
+  expect_equal(client.metrics(), run_round(1));
+  client.ResetMetrics();
+  expect_equal(client.metrics(), ClientMetrics{});
+  expect_equal(client.metrics(), run_round(2));
 }
 
 TEST(AppClientTest, BatchesAreAStableGroupingByServer) {
