@@ -1,5 +1,5 @@
-// Figure 14 (beyond the paper): million-user scale — planning time, serving
-// throughput, and interest-set bytes per edge.
+// Figure 14 (beyond the paper): million-user scale — planning time, plane
+// build time, serving throughput, and query-filter bytes per edge.
 //
 // One generated social graph (GenerateSocialNetwork, preferential attachment
 // + triadic closure + reciprocation), one planner run, then the serving plane
@@ -7,22 +7,24 @@
 // runs in a forked child process (best of --repeats runs) so every repeat
 // starts from the identical post-plan heap — in-process back-to-back runs
 // measured the second run 2-3x slower from allocator-arena fragmentation.
-// Reported: measured wall throughput (requests/s through the simulator, SIMD
-// kernels included), the paper's modeled per-client throughput, and resident
-// interest bytes per graph edge.
+// Reported: the plane build time (build_s, Prototype::Create), measured wall
+// throughput (requests/s through the simulator, SIMD kernels included), the
+// paper's modeled per-client throughput, and resident interest bytes per
+// graph edge.
 //
 // Expected shape: plan_cost, messages_per_request, throughput_req_s and the
-// interest bytes are deterministic for a given graph and seed. Interest
-// sets are flat sorted vectors: 4 bytes per entry plus the own-id entry and
-// a 24-byte vector header per user, ~6.2 bytes/edge at 13 edges per node
-// (BENCH_PR10.json). Wall ops/s moves with the host.
+// interest bytes are deterministic for a given graph and seed. The interest
+// bytes are AppClient's keep sets: 4 bytes per kept producer of a filtered
+// query batch plus 12 bytes of index per batch, ~3.4 bytes/edge at 13 edges
+// per node (the 6.15 in BENCH_PR10.json is the per-user interest vectors
+// they replaced). Wall ops/s and build_s move with the host.
 // check_bench_regression.py --scale blocks only on a baseline row missing
 // from the run; ops/s deltas vs the baseline pin stay advisory.
 //
 //   ./bench_fig14_scale --nodes 1000000 --requests 1000000 --json fig14.json
 //   ./bench_fig14_scale --nodes 50000 --requests 200000   # CI smoke scale
 //
-// Planning at 1M nodes costs ~an hour; --save-schedule FILE persists the
+// Planning at 1M nodes takes minutes; --save-schedule FILE persists the
 // plan (schedule_io text format) and --load-schedule FILE skips planning on
 // later runs — the plan row then reports the load time, clearly marked with
 // planner "(loaded)". Serve-phase iteration (store or kernel changes) only
@@ -74,8 +76,9 @@ int main(int argc, char** argv) {
   const size_t repeats = static_cast<size_t>(flags.Int("repeats", 3));
 
   Banner("Figure 14 - million-user scale: plan time, serving, bytes/edge",
-         "expect: ~6 interest bytes/edge at 1M nodes (4 per entry + vector "
-         "headers); simd column = dispatch tier (PIGGY_SIMD to A/B)");
+         "expect: ~3.4 keep-set bytes/edge at 1M nodes (4 per kept "
+         "producer + 12 per query batch); simd column = dispatch tier "
+         "(PIGGY_SIMD to A/B)");
 
   auto t0 = std::chrono::steady_clock::now();
   SocialNetworkOptions gen;
@@ -90,7 +93,7 @@ int main(int argc, char** argv) {
               g.num_nodes(), g.num_edges(), gen_s, simd_tier.c_str());
 
   Table table({"row", "planner", "simd", "nodes", "edges", "wall_s",
-               "plan_cost", "ops_per_sec", "interest_bytes", "bytes_per_edge",
+               "build_s", "plan_cost", "ops_per_sec", "interest_bytes", "bytes_per_edge",
                "messages_per_request", "throughput_req_s"});
 
   const std::string load_schedule = flags.Str("load-schedule", "");
@@ -113,7 +116,7 @@ int main(int argc, char** argv) {
   }
   const double plan_cost = ScheduleCost(g, w, schedule, ResidualPolicy::kFree);
   table.AddRow({"plan", plan_label, simd_tier, std::to_string(nodes),
-                std::to_string(g.num_edges()), Fmt(plan_s), Fmt(plan_cost, 1),
+                std::to_string(g.num_edges()), Fmt(plan_s), "0", Fmt(plan_cost, 1),
                 "0", "0", "0", "0", "0"});
   std::printf("plan: %s in %.1fs, cost %.1f\n", plan_label.c_str(), plan_s,
               plan_cost);
@@ -126,9 +129,10 @@ int main(int argc, char** argv) {
   // reports its numbers on a pipe. Repeats take the fastest run: identical
   // code measured twice still moves several percent on a shared host, and
   // min-of-N is the standard way to strip that scheduling noise from a
-  // CPU-bound measurement.
+  // CPU-bound measurement. The plane build (Prototype::Create) is timed on
+  // its own and reported as the fastest of the repeats as well.
   size_t interest_bytes = 0;
-  double wall_s = 0, msgs_per_request = 0, throughput = 0;
+  double wall_s = 0, build_s = 0, msgs_per_request = 0, throughput = 0;
   for (size_t rep = 0; rep < repeats; ++rep) {
     int fds[2];
     PIGGY_CHECK_EQ(pipe(fds), 0);
@@ -138,7 +142,9 @@ int main(int argc, char** argv) {
       close(fds[0]);
       PrototypeOptions opt;
       opt.num_servers = servers;
+      const auto tb = std::chrono::steady_clock::now();
       auto proto = Prototype::Create(g, schedule, opt).MoveValueOrDie();
+      const double child_build = Seconds(tb);
       // Return the arena freed by construction before the timed window so
       // serve-time allocations start from a dense heap.
       malloc_trim(0);
@@ -150,23 +156,24 @@ int main(int argc, char** argv) {
       DriverReport report = RunWorkloadDriver(*proto, w, d).MoveValueOrDie();
       const double child_wall = Seconds(ts);
       FILE* wire = fdopen(fds[1], "w");
-      std::fprintf(wire, "%zu %.9f %.9f %.9f\n", child_bytes, child_wall,
-                   report.messages_per_request, report.actual_throughput);
+      std::fprintf(wire, "%zu %.9f %.9f %.9f %.9f\n", child_bytes, child_wall,
+                   child_build, report.messages_per_request, report.actual_throughput);
       std::fflush(wire);
       _exit(0);
     }
     close(fds[1]);
     size_t rep_bytes = 0;
-    double rep_wall = 0, rep_msgs = 0, rep_tput = 0;
+    double rep_wall = 0, rep_build = 0, rep_msgs = 0, rep_tput = 0;
     FILE* wire = fdopen(fds[0], "r");
-    PIGGY_CHECK_EQ(std::fscanf(wire, "%zu %lf %lf %lf", &rep_bytes, &rep_wall,
-                               &rep_msgs, &rep_tput),
-                   4);
+    PIGGY_CHECK_EQ(std::fscanf(wire, "%zu %lf %lf %lf %lf", &rep_bytes, &rep_wall,
+                               &rep_build, &rep_msgs, &rep_tput),
+                   5);
     std::fclose(wire);
     int status = 0;
     PIGGY_CHECK_EQ(waitpid(pid, &status, 0), pid);
     PIGGY_CHECK(WIFEXITED(status) && WEXITSTATUS(status) == 0)
         << "serve child failed";
+    if (rep == 0 || rep_build < build_s) build_s = rep_build;
     if (rep == 0 || rep_wall < wall_s) {
       interest_bytes = rep_bytes;
       wall_s = rep_wall;
@@ -178,12 +185,13 @@ int main(int argc, char** argv) {
       static_cast<double>(interest_bytes) / static_cast<double>(g.num_edges());
   const double ops = wall_s > 0 ? static_cast<double>(requests) / wall_s : 0;
   table.AddRow({"serve", plan_label, simd_tier, std::to_string(nodes),
-                std::to_string(g.num_edges()), Fmt(wall_s), Fmt(plan_cost, 1),
-                Fmt(ops, 0), std::to_string(interest_bytes), Fmt(bytes_per_edge),
+                std::to_string(g.num_edges()), Fmt(wall_s), Fmt(build_s),
+                Fmt(plan_cost, 1), Fmt(ops, 0), std::to_string(interest_bytes), Fmt(bytes_per_edge),
                 Fmt(msgs_per_request), Fmt(throughput, 0)});
-  std::printf("serve: %zu requests in %.1fs = %.0f req/s wall, "
+  std::printf("serve: plane built in %.3fs; %zu requests in %.1fs = %.0f req/s wall, "
               "%.3f bytes/edge, msgs/req=%.3f, modeled throughput=%.0f\n",
-              requests, wall_s, ops, bytes_per_edge, msgs_per_request, throughput);
+              build_s, requests, wall_s, ops, bytes_per_edge, msgs_per_request,
+              throughput);
 
   std::printf("\n");
   table.Print();

@@ -8,6 +8,7 @@
 #include "core/baselines.h"
 #include "core/parallel_nosy.h"
 #include "gen/presets.h"
+#include "simd/kernels.h"
 #include "store/prototype.h"
 #include "util/alias_table.h"
 #include "util/u64_containers.h"
@@ -66,6 +67,40 @@ void BM_QueryStream(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_QueryStream);
+
+// simd::SelectKeyedNewestInto on one full view ring (128 records, the
+// EventTuple stride) against a keep set of state.range(0) members, keys
+// drawn over 5x as many producers (20% of records kept). range(1) is k:
+// 10 (a feed) stops early, 128 scans the whole ring. Sizes up to
+// simd::kSmallSetMax take the broadcast-compare path, larger ones the
+// gather bisection; PERFORMANCE.md "Interest sets" has the crossover.
+void BM_SelectKeyedNewest(benchmark::State& state) {
+  const size_t m = static_cast<size_t>(state.range(0));
+  const size_t k = static_cast<size_t>(state.range(1));
+  constexpr size_t kRing = 128;
+  constexpr size_t kStride = sizeof(EventTuple) / sizeof(uint32_t);
+  Rng rng(11 + m);
+  std::vector<NodeId> producers(5 * m);
+  for (size_t i = 0; i < producers.size(); ++i) {
+    producers[i] = static_cast<NodeId>(1000 + 37 * i + rng.Uniform(30));
+  }
+  std::vector<uint32_t> records(kRing * kStride, 0);
+  for (size_t i = 0; i < kRing; ++i) {
+    records[i * kStride] = producers[rng.Uniform(producers.size())];
+  }
+  std::vector<NodeId> keep;
+  for (size_t i = 0; i < producers.size(); i += 5) keep.push_back(producers[i]);
+  std::vector<uint32_t> out;
+  out.reserve(kRing);
+  for (auto _ : state) {
+    out.clear();
+    simd::SelectKeyedNewestInto(records.data(), kStride, kRing, keep, k, &out);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SelectKeyedNewest)
+    ->ArgsProduct({{2, 8, 16, 32, 64, 128, 129, 192, 256}, {10, 128}});
 
 void BM_AliasTableSample(benchmark::State& state) {
   System& sys = SharedSystem();

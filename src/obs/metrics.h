@@ -73,6 +73,11 @@ class Counter {
     return total;
   }
 
+  /// Zeroes every stripe. Exact only when no thread is adding concurrently.
+  void Reset() {
+    for (Stripe& s : stripes_) s.v.store(0, std::memory_order_relaxed);
+  }
+
  private:
   struct alignas(64) Stripe {
     std::atomic<uint64_t> v{0};

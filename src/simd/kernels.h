@@ -78,7 +78,9 @@ void FilterUncoveredPairsInto(const uint8_t* covered, const uint32_t* p,
 /// Largest `interest` span SelectKeyedNewestInto's AVX2 path matches by
 /// comparing each key against every member; larger spans take a
 /// gather-based binary search. Both give the scalar reference's output.
-inline constexpr size_t kSmallSetMax = 16;
+/// The compares beat the bisection up to about 192 members
+/// (docs/PERFORMANCE.md, "Interest sets").
+inline constexpr size_t kSmallSetMax = 128;
 
 /// Newest-first interest filter over one stored view (the QueryBatch inner
 /// loop). `keys` points at the first 32-bit key of `n` records laid out

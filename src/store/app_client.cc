@@ -43,36 +43,71 @@ AppClient::AppClient(const Graph& graph, const Schedule& schedule,
   // interest set would. When the union lies inside the interest set the
   // filter is an identity and the batch is unfiltered — the common case for
   // own views and followee-owned views.
-  std::vector<std::vector<NodeId>> sources(n);
+  // sources(w) in CSR form; ascending u keeps every list sorted.
+  std::vector<size_t> source_first(n + 1, 0);
   for (NodeId u = 0; u < n; ++u) {
-    for (NodeId w : push_views_[u]) sources[w].push_back(u);
+    for (NodeId w : push_views_[u]) ++source_first[w + 1];
   }
+  for (NodeId w = 0; w < n; ++w) source_first[w + 1] += source_first[w];
+  std::vector<NodeId> source_nodes(source_first[n]);
+  {
+    std::vector<size_t> fill(source_first.begin(), source_first.end() - 1);
+    for (NodeId u = 0; u < n; ++u) {
+      for (NodeId w : push_views_[u]) source_nodes[fill[w]++] = u;
+    }
+  }
+  auto sources = [&](NodeId w) {
+    return std::span<const NodeId>(source_nodes.data() + source_first[w],
+                                   source_first[w + 1] - source_first[w]);
+  };
   // interest_of[v] == u marks v as in u's interest set while u is built;
-  // seen[v] == b marks v as already considered for batch b.
+  // seen[v] == b marks v as already kept for batch b.
   constexpr uint32_t kNone = UINT32_MAX;
   std::vector<NodeId> interest_of(n, kNone);
   std::vector<uint32_t> seen(n, kNone);
   keep_.reserve(pull_batches_.batches.size());
   for (NodeId u = 0; u < n; ++u) {
+    const std::span<const NodeId> followees = graph.InNeighbors(u);
     interest_of[u] = u;
-    for (NodeId v : graph.InNeighbors(u)) interest_of[v] = u;
+    for (NodeId v : followees) interest_of[v] = u;
+    // A view with more sources than u has interests (a hub's view) cannot
+    // be covered.
+    auto covered = [&](std::span<const NodeId> src) {
+      if (src.size() > followees.size() + 1) return false;
+      for (NodeId v : src) {
+        if (interest_of[v] != u) return false;
+      }
+      return true;
+    };
     for (uint32_t b = pull_batches_.first[u]; b < pull_batches_.first[u + 1]; ++b) {
       const BatchPlan::Batch& batch = pull_batches_.batches[b];
       const size_t begin = keep_nodes_.size();
       bool filtered = false;
-      for (uint32_t i = batch.begin; i < batch.end; ++i) {
-        for (NodeId v : sources[pull_batches_.views[i]]) {
-          if (seen[v] == b) continue;
+      for (uint32_t i = batch.begin; i < batch.end && !filtered; ++i) {
+        filtered = !covered(sources(pull_batches_.views[i]));
+      }
+      if (filtered) {
+        auto keep = [&](NodeId v) {
+          if (seen[v] == b) return;
           seen[v] = b;
-          if (interest_of[v] == u) {
-            keep_nodes_.push_back(v);
+          keep_nodes_.push_back(v);
+        };
+        for (uint32_t i = batch.begin; i < batch.end; ++i) {
+          const std::span<const NodeId> src = sources(pull_batches_.views[i]);
+          if (src.size() > followees.size() + 1) {
+            // Walk u's interest set instead of the hub's sources: the cost
+            // follows u's in-degree.
+            if (std::binary_search(src.begin(), src.end(), u)) keep(u);
+            ForEachSortedIntersection(followees, src,
+                                      [&](NodeId v, size_t, size_t) { keep(v); });
           } else {
-            filtered = true;
+            for (NodeId v : src) {
+              if (interest_of[v] == u) keep(v);
+            }
           }
         }
+        std::sort(keep_nodes_.begin() + static_cast<std::ptrdiff_t>(begin), keep_nodes_.end());
       }
-      if (!filtered) keep_nodes_.resize(begin);
-      std::sort(keep_nodes_.begin() + static_cast<std::ptrdiff_t>(begin), keep_nodes_.end());
       PIGGY_CHECK_LE(keep_nodes_.size(), size_t{UINT32_MAX});
       keep_.push_back({static_cast<uint32_t>(begin),
                        static_cast<uint32_t>(keep_nodes_.size()), filtered});
@@ -130,26 +165,6 @@ AppClient::BatchPlan AppClient::BatchPlan::Build(
     plan.first.push_back(static_cast<uint32_t>(plan.batches.size()));
   }
   return plan;
-}
-
-ClientMetrics AppClient::metrics() const {
-  ClientMetrics m;
-  m.share_requests = share_requests_.Value() -
-                     baseline_.share_requests.load(std::memory_order_relaxed);
-  m.query_requests = query_requests_.Value() -
-                     baseline_.query_requests.load(std::memory_order_relaxed);
-  m.update_messages = update_messages_.Value() -
-                      baseline_.update_messages.load(std::memory_order_relaxed);
-  m.query_messages = query_messages_.Value() -
-                     baseline_.query_messages.load(std::memory_order_relaxed);
-  return m;
-}
-
-void AppClient::ResetMetrics() {
-  baseline_.share_requests.store(share_requests_.Value(), std::memory_order_relaxed);
-  baseline_.query_requests.store(query_requests_.Value(), std::memory_order_relaxed);
-  baseline_.update_messages.store(update_messages_.Value(), std::memory_order_relaxed);
-  baseline_.query_messages.store(query_messages_.Value(), std::memory_order_relaxed);
 }
 
 bool AppClient::QueryFilterFree(NodeId u) const {

@@ -25,7 +25,6 @@
 
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -74,12 +73,22 @@ class AppClient {
   /// Assembles u's event stream (Algorithm 3, query path).
   std::vector<EventTuple> QueryStream(NodeId u);
 
-  /// Snapshot of the counters since the last ResetMetrics (relaxed loads;
-  /// exact once writers quiesce).
-  ClientMetrics metrics() const;
-  /// Restarts the counters from zero: records the current totals as the
-  /// baseline that metrics() subtracts (the striped counters never go back).
-  void ResetMetrics();
+  /// Snapshot of the counters (relaxed loads; exact once writers quiesce).
+  ClientMetrics metrics() const {
+    ClientMetrics m;
+    m.share_requests = share_requests_.Value();
+    m.query_requests = query_requests_.Value();
+    m.update_messages = update_messages_.Value();
+    m.query_messages = query_messages_.Value();
+    return m;
+  }
+  /// Zeroes the counters; callers hold off concurrent requests.
+  void ResetMetrics() {
+    share_requests_.Reset();
+    query_requests_.Reset();
+    update_messages_.Reset();
+    query_messages_.Reset();
+  }
 
   /// The views written on u's shares (own view first).
   std::span<const NodeId> PushViews(NodeId u) const { return push_views_[u]; }
@@ -126,19 +135,11 @@ class AppClient {
   std::vector<std::vector<NodeId>> pull_views_;
   size_t interest_bytes_ = 0;
 
-  // Striped so concurrent requests never write one cache line; the baseline
-  // holds the totals at the last ResetMetrics.
+  // Striped so concurrent requests never write one cache line.
   obs::Counter share_requests_;
   obs::Counter query_requests_;
   obs::Counter update_messages_;
   obs::Counter query_messages_;
-  struct Baseline {
-    std::atomic<uint64_t> share_requests{0};
-    std::atomic<uint64_t> query_requests{0};
-    std::atomic<uint64_t> update_messages{0};
-    std::atomic<uint64_t> query_messages{0};
-  };
-  Baseline baseline_;
 
   // Every user's view list regrouped into per-server message batches, in
   // CSR form: user u's batches are batches[first[u], first[u + 1]) and batch

@@ -224,8 +224,9 @@ TEST(SimdCoverageTest, FilterUncoveredPairsMatchScalarOnEveryTier) {
 TEST(SimdSelectTest, NewestFirstSelectionMatchesScalarOnEveryTier) {
   Rng rng(424242);
   constexpr size_t kStride = 6;  // sizeof(EventTuple) / sizeof(uint32_t)
-  // Set sizes on both sides of the AVX2 small-set threshold.
-  static_assert(simd::kSmallSetMax == 16, "set sizes must straddle the threshold");
+  // Set sizes on both sides of the AVX2 small-set threshold. Keys come from
+  // [0, 64); a set is drawn from [0, max(64, 2m)), so large sets still miss.
+  constexpr size_t kAtMax = simd::kSmallSetMax;
   for (size_t n : {size_t{0}, size_t{1}, size_t{7}, size_t{8}, size_t{9},
                    size_t{128}, size_t{301}}) {
     std::vector<uint32_t> records(n * kStride, 0);
@@ -233,8 +234,9 @@ TEST(SimdSelectTest, NewestFirstSelectionMatchesScalarOnEveryTier) {
       records[i * kStride] = static_cast<uint32_t>(rng.Uniform(64));
     }
     for (size_t m : {size_t{0}, size_t{1}, size_t{2}, size_t{8}, size_t{16},
-                     size_t{17}, size_t{64}}) {
-      const std::vector<NodeId> interest = SortedRandomSet(rng, m, 64);
+                     size_t{17}, size_t{64}, kAtMax, kAtMax + 1, 2 * kAtMax}) {
+      const NodeId universe = static_cast<NodeId>(std::max<size_t>(64, 2 * m));
+      const std::vector<NodeId> interest = SortedRandomSet(rng, m, universe);
       for (size_t k : {size_t{0}, size_t{1}, size_t{10}, n + 5}) {
         std::vector<uint32_t> expect;
         {

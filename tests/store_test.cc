@@ -384,6 +384,40 @@ TEST(AppClientTest, HubDoesNotLeakUnfollowedProducers) {
   EXPECT_EQ(stream[0].producer, 0u);
 }
 
+TEST(AppClientTest, CoveredViewAfterHubKeepsBatchFiltered) {
+  // One server, so user 0's pulls form one batch: own view 0, hub view 3
+  // (pushed by 1, which 0 follows, and by 4, which 0 does not) and view 5
+  // (pushed by 2; every source followed). The covered view comes after the
+  // hub, and the batch must stay filtered so 4's event cannot leak.
+  Graph g = BuildGraph(6, {{1, 0}, {2, 0}, {3, 0}, {5, 0}, {1, 3}, {4, 3}, {2, 5}})
+                .ValueOrDie();
+  Schedule s;
+  s.AddPush(1, 3);
+  s.AddPush(4, 3);
+  s.AddPush(2, 5);
+  s.AddPull(3, 0);
+  s.AddPull(5, 0);
+  HashPartitioner part(1);
+  std::vector<ViewStore> servers;
+  servers.emplace_back(0, size_t{0});
+  AppClient client(g, s, &part, &servers, 10);
+  size_t batches = 0;
+  client.ForEachPullBatch(0, [&](uint32_t, std::span<const NodeId>) { ++batches; });
+  ASSERT_EQ(batches, 1u);
+  EXPECT_FALSE(client.QueryFilterFree(0));
+  const auto keep = client.KeepSet(0, 0);
+  ASSERT_TRUE(keep.has_value());
+  EXPECT_EQ(std::vector<NodeId>(keep->begin(), keep->end()),
+            (std::vector<NodeId>{0, 1, 2, 3, 5}));
+  client.ShareEvent(4, 7, 1);
+  client.ShareEvent(1, 8, 2);
+  client.ShareEvent(2, 9, 3);
+  const auto stream = client.QueryStream(0);
+  ASSERT_EQ(stream.size(), 2u);
+  EXPECT_EQ(stream[0].producer, 2u);
+  EXPECT_EQ(stream[1].producer, 1u);
+}
+
 TEST(AppClientTest, FilterFreePrecomputeMatchesScheduleShape) {
   // Pull-only wiring: every pulled view is its owner's own view and the
   // owner is followed, so queries are provably filter-free. Adding a hub
