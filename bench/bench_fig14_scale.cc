@@ -48,9 +48,10 @@
 #include "core/planner.h"
 #include "core/schedule_io.h"
 #include "gen/generators.h"
+#include "scenario/replay.h"
+#include "scenario/scenario.h"
 #include "simd/dispatch.h"
 #include "store/prototype.h"
-#include "store/workload_driver.h"
 #include "workload/workload.h"
 
 using namespace piggy;
@@ -131,6 +132,13 @@ int main(int argc, char** argv) {
   // min-of-N is the standard way to strip that scheduling noise from a
   // CPU-bound measurement. The plane build (Prototype::Create) is timed on
   // its own and reported as the fastest of the repeats as well.
+  //
+  // The stationary request stream is built once, before the fork, so every
+  // child replays it from the same start. One epoch: the timed window is the
+  // epoch's serving time, which excludes the replay's one true-cost scoring.
+  auto scenario = MakeScenario("stationary", g, w,
+                               {.num_requests = requests, .seed = seed, .epochs = 1})
+                      .MoveValueOrDie();
   size_t interest_bytes = 0;
   double wall_s = 0, build_s = 0, msgs_per_request = 0, throughput = 0;
   for (size_t rep = 0; rep < repeats; ++rep) {
@@ -149,15 +157,13 @@ int main(int argc, char** argv) {
       // serve-time allocations start from a dense heap.
       malloc_trim(0);
       const size_t child_bytes = proto->client().InterestBytes();
-      DriverOptions d;
-      d.num_requests = requests;
-      d.seed = seed;
-      const auto ts = std::chrono::steady_clock::now();
-      DriverReport report = RunWorkloadDriver(*proto, w, d).MoveValueOrDie();
-      const double child_wall = Seconds(ts);
+      ReplayReport report =
+          ReplayScenario(*scenario, *proto, schedule).MoveValueOrDie();
+      const double child_wall = report.epochs.front().wall_seconds;
       FILE* wire = fdopen(fds[1], "w");
       std::fprintf(wire, "%zu %.9f %.9f %.9f %.9f\n", child_bytes, child_wall,
-                   child_build, report.messages_per_request, report.actual_throughput);
+                   child_build, proto->client().metrics().MessagesPerRequest(),
+                   proto->ActualThroughput());
       std::fflush(wire);
       _exit(0);
     }

@@ -19,8 +19,9 @@
 #include "bench/bench_common.h"
 #include "core/planner.h"
 #include "gen/presets.h"
+#include "scenario/replay.h"
+#include "scenario/scenario.h"
 #include "store/prototype.h"
-#include "store/workload_driver.h"
 #include "util/string_util.h"
 #include "workload/workload.h"
 
@@ -47,6 +48,12 @@ int main(int argc, char** argv) {
   // curves[planner][servers] for the stdout ratio summary.
   std::map<std::string, std::map<size_t, double>> curves;
 
+  // The paper's stationary request mix, replayed from the start into every
+  // fleet; one epoch, since the run has no rate changes to report.
+  auto scenario = MakeScenario("stationary", g, w,
+                               {.num_requests = requests, .seed = seed, .epochs = 1})
+                      .MoveValueOrDie();
+
   PlanContext ctx;
   const std::string ctx_str = ctx.ToString();
   for (const std::string& name : StrSplit(planners, ',')) {
@@ -58,13 +65,12 @@ int main(int argc, char** argv) {
       PrototypeOptions opt;
       opt.num_servers = servers;
       auto proto = Prototype::Create(g, plan.schedule, opt).MoveValueOrDie();
-      DriverOptions d;
-      d.num_requests = requests;
-      d.seed = seed;
-      DriverReport report = RunWorkloadDriver(*proto, w, d).MoveValueOrDie();
-      curves[plan.planner][servers] = report.actual_throughput;
+      scenario->Reset();
+      PIGGY_CHECK_OK(ReplayScenario(*scenario, *proto, plan.schedule).status());
+      const double throughput = proto->ActualThroughput();
+      curves[plan.planner][servers] = throughput;
       table.AddRow({plan.planner, ctx_str, std::to_string(servers),
-                    Fmt(report.actual_throughput, 0)});
+                    Fmt(throughput, 0)});
     }
   }
 

@@ -25,8 +25,9 @@
 #include "cluster/cluster_service.h"
 #include "core/planner.h"
 #include "gen/presets.h"
+#include "scenario/replay.h"
+#include "scenario/scenario.h"
 #include "store/prototype.h"
-#include "store/workload_driver.h"
 #include "util/string_util.h"
 #include "workload/workload.h"
 
@@ -35,7 +36,7 @@ using namespace piggy::bench;
 
 namespace {
 
-// Mean and stddev of per-shard request load, normalized by total requests.
+// Mean and stddev of per-shard (or per-server) load, normalized by the total.
 std::pair<double, double> NormalizedLoad(const std::vector<uint64_t>& loads) {
   uint64_t total = 0;
   for (uint64_t x : loads) total += x;
@@ -65,6 +66,11 @@ int main(int argc, char** argv) {
 
   PlanContext ctx;
   const std::string ctx_str = ctx.ToString();
+  // The paper's stationary request mix, replayed from the start into every
+  // deployment; one epoch, since the run has no rate changes to report.
+  auto scenario = MakeScenario("stationary", g, w,
+                               {.num_requests = requests, .seed = seed, .epochs = 1})
+                      .MoveValueOrDie();
 
   if (shards > 0) {
     Banner("Figure 8 (sharded) - request load per shard + cross-shard traffic",
@@ -81,16 +87,16 @@ int main(int argc, char** argv) {
       // Rates come from the explicit workload `w` (shared with the legacy
       // sweep); options.shard.workload is only read by the other overload.
       auto cluster = ClusterService::Create(g, w, options).MoveValueOrDie();
-      DriverOptions d;
-      d.num_requests = requests;
-      d.seed = seed;
-      ClusterDriveReport report = cluster->Drive(d).MoveValueOrDie();
+      scenario->Reset();
+      ReplayReport report = ReplayScenario(*scenario, *cluster).MoveValueOrDie();
+      // A fresh cluster routes nothing before the replay, so the lifetime
+      // per-shard counters are this run's.
       ClusterMetrics m = cluster->GetMetrics();
       auto [mean, stddev] = NormalizedLoad(m.per_shard_requests);
+      const double replayed = static_cast<double>(report.shares + report.queries);
       table.AddRow({m.planner, ctx_str, m.partitioner, std::to_string(shards),
-                    Fmt(mean, 6), Fmt(stddev, 6), Fmt(report.imbalance, 3),
-                    Fmt(m.cross_cost, 1),
-                    Fmt(report.cross_messages_per_request, 3)});
+                    Fmt(mean, 6), Fmt(stddev, 6), Fmt(m.imbalance, 3),
+                    Fmt(m.cross_cost, 1), Fmt(report.cross_messages / replayed, 3)});
     }
     table.Print();
     table.WriteCsv(flags.Str("csv", ""));
@@ -112,13 +118,11 @@ int main(int argc, char** argv) {
       PrototypeOptions opt;
       opt.num_servers = servers;
       auto proto = Prototype::Create(g, plan.schedule, opt).MoveValueOrDie();
-      DriverOptions d;
-      d.num_requests = requests;
-      d.seed = seed;
-      DriverReport report = RunWorkloadDriver(*proto, w, d).MoveValueOrDie();
+      scenario->Reset();
+      PIGGY_CHECK_OK(ReplayScenario(*scenario, *proto, plan.schedule).status());
+      auto [mean, stddev] = NormalizedLoad(proto->PerServerQueryLoad());
       table.AddRow({plan.planner, ctx_str, std::to_string(servers),
-                    Fmt(report.NormalizedQueryLoadMean(), 6),
-                    Fmt(std::sqrt(report.NormalizedQueryLoadVariance()), 6)});
+                    Fmt(mean, 6), Fmt(stddev, 6)});
     }
   }
 

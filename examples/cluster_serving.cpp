@@ -26,11 +26,6 @@ int main(int argc, char** argv) {
   Graph graph = MakeFlickrLike(nodes, /*seed=*/7).ValueOrDie();
   std::printf("  %s\n\n", ComputeGraphStats(graph, 1000).ToString().c_str());
 
-  DriverOptions traffic;
-  traffic.num_requests = 50000;
-  traffic.seed = 99;
-  traffic.audit_every = 500;  // spot-check merged streams against the oracle
-
   for (const char* partitioner : {"hash", "edge-cut"}) {
     ClusterOptions options;
     options.num_shards = shards;
@@ -38,6 +33,7 @@ int main(int argc, char** argv) {
     options.shard.planner = "nosy";
     options.shard.workload = {.read_write_ratio = 5.0, .min_rate = 0.01};
     options.shard.prototype.view_capacity = 0;
+    options.audit_every = 500;  // spot-check merged streams against the oracle
     auto cluster = ClusterService::Create(graph, options).MoveValueOrDie();
 
     ClusterMetrics m = cluster->GetMetrics();
@@ -46,8 +42,17 @@ int main(int argc, char** argv) {
                 partitioner, cluster->num_shards(), m.cross_edges, m.total_cost,
                 m.intra_cost, m.cross_cost);
 
-    ClusterDriveReport report = cluster->Drive(traffic).MoveValueOrDie();
-    std::printf("[%s] %s\n\n", partitioner, report.ToString().c_str());
+    // The paper's stationary request mix at the cluster's rates.
+    auto traffic = MakeScenario("stationary", graph, cluster->workload(),
+                                {.num_requests = 50000, .seed = 99})
+                       .MoveValueOrDie();
+    ReplayReport report = ReplayScenario(*traffic, *cluster).MoveValueOrDie();
+    m = cluster->GetMetrics();
+    std::printf("[%s] %s cross/req=%.3f imbalance=%.2f audits=%lu\n\n",
+                partitioner, report.ToString().c_str(),
+                report.cross_messages /
+                    static_cast<double>(report.shares + report.queries),
+                m.imbalance, static_cast<unsigned long>(m.audited_queries));
   }
 
   std::printf("same feeds, same audits — the placement only moves the "

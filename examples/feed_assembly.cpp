@@ -24,17 +24,13 @@ int main(int argc, char** argv) {
   Graph graph = MakeFlickrLike(nodes, /*seed=*/7).ValueOrDie();
   std::printf("  %s\n\n", ComputeGraphStats(graph, 1000).ToString().c_str());
 
-  DriverOptions traffic;
-  traffic.num_requests = 50000;
-  traffic.seed = 99;
-  traffic.audit_every = 500;  // spot-check feeds against the event-log oracle
-
   for (const char* planner : {"hybrid", "nosy"}) {
     FeedServiceOptions options;
     options.planner = planner;
     options.workload = {.read_write_ratio = 5.0, .min_rate = 0.01};
     options.prototype.num_servers = servers;
     options.prototype.view_capacity = 0;
+    options.audit_every = 500;  // spot-check feeds against the event-log oracle
     auto service = FeedService::Create(graph, options).MoveValueOrDie();
 
     FeedService::Metrics m = service->GetMetrics();
@@ -43,9 +39,14 @@ int main(int argc, char** argv) {
                 m.hybrid_cost / m.schedule_cost,
                 service->schedule().hub_covered_size());
 
-    DriverReport report = service->Drive(traffic).ValueOrDie();
-    std::printf("%-8s on %zu servers: %s\n\n", planner, servers,
-                report.ToString().c_str());
+    // The paper's stationary request mix at the service's rates.
+    auto traffic = MakeScenario("stationary", graph, service->WorkloadSnapshot(),
+                                {.num_requests = 50000, .seed = 99})
+                       .MoveValueOrDie();
+    ReplayReport report = ReplayScenario(*traffic, *service).ValueOrDie();
+    std::printf("%-8s on %zu servers: %s audits=%lu\n\n", planner, servers,
+                report.ToString().c_str(),
+                static_cast<unsigned long>(service->GetMetrics().audited_queries));
   }
 
   std::printf(

@@ -10,9 +10,7 @@
 
 #include "cluster/newest_k_merge.h"
 #include "core/cost_model.h"
-#include "util/alias_table.h"
 #include "util/failpoint.h"
-#include "util/rng.h"
 #include "util/string_util.h"
 #include "util/thread_pool.h"
 
@@ -171,15 +169,6 @@ std::string ClusterMetrics::ToString() const {
       static_cast<unsigned long>(cross_update_messages),
       static_cast<unsigned long>(cross_query_messages), messages_per_request,
       imbalance, windowed_imbalance, migrations, migrated_users);
-}
-
-std::string ClusterDriveReport::ToString() const {
-  return StrFormat(
-      "requests=%lu (shares=%lu queries=%lu) msgs/req=%.3f cross/req=%.3f "
-      "imbalance=%.2f audits=%zu unavailable=%zu",
-      static_cast<unsigned long>(requests), static_cast<unsigned long>(shares),
-      static_cast<unsigned long>(queries), messages_per_request,
-      cross_messages_per_request, imbalance, audited_queries, unavailable);
 }
 
 ClusterService::ClusterService(ClusterOptions options, ShardMap map,
@@ -615,11 +604,6 @@ Result<std::vector<EventTuple>> ClusterService::QueryStream(NodeId u) {
       (queries_since_audit_.fetch_add(1, std::memory_order_relaxed) + 1) %
               options_.audit_every ==
           0;
-  return QueryInternal(u, audit);
-}
-
-Result<std::vector<EventTuple>> ClusterService::QueryInternal(NodeId u,
-                                                              bool force_audit) {
   obs::ScopedLatency latency(replaying_ ? nullptr : query_us_);
   if (u >= map_.num_nodes()) {
     return Status::InvalidArgument(StrFormat("unknown user %u", u));
@@ -631,7 +615,7 @@ Result<std::vector<EventTuple>> ClusterService::QueryInternal(NodeId u,
         StrFormat("shard %u hosting user %u is down", s, u));
   }
   AuditToken token;
-  if (force_audit) {
+  if (audit) {
     token.quiescent =
         shares_in_flight_.load(std::memory_order_seq_cst) == 0;
     token.next_seq = next_seq_.load(std::memory_order_seq_cst);
@@ -671,7 +655,7 @@ Result<std::vector<EventTuple>> ClusterService::QueryInternal(NodeId u,
   cross_.CountQueryFanout(pull_shards);
   std::vector<EventTuple> stream = std::move(merge).Take();
 
-  if (force_audit) {
+  if (audit) {
     PIGGY_RETURN_NOT_OK(AuditMerged(u, stream, token));
     audited_queries_->Add();
   }
@@ -745,24 +729,8 @@ Status ClusterService::AuditMerged(NodeId u,
 
 Status ClusterService::ApplyChurnLocked() {
   ++churn_ops_;
-  ++churn_since_replan_;
-  // During WAL replay the policies below are inert: shard replans fire at
-  // their kReplanCommit positions in the shard WALs, and snapshots don't
-  // rotate mid-recovery.
+  // During WAL replay snapshots don't rotate mid-recovery.
   if (replaying_) return Status::OK();
-  if (options_.replan_after_churn > 0 &&
-      churn_since_replan_ >= options_.replan_after_churn) {
-    churn_since_replan_ = 0;
-    if (options_.shard.background_replan) {
-      // Per-shard background replanners: post and keep serving.
-      for (Shard& shard : shards_) {
-        if (shard.service == nullptr) continue;
-        PIGGY_RETURN_NOT_OK(shard.service->StartBackgroundReplan());
-      }
-    } else {
-      PIGGY_RETURN_NOT_OK(ReplanLocked());
-    }
-  }
   if (durability_ != nullptr && options_.durability.snapshot_every > 0 &&
       durability_->records_since_snapshot() >=
           options_.durability.snapshot_every) {
@@ -1297,10 +1265,6 @@ Status ClusterService::WriteSnapshotLocked() {
 
 Status ClusterService::Replan() {
   std::unique_lock<std::shared_mutex> lock(mu_);
-  return ReplanLocked();
-}
-
-Status ClusterService::ReplanLocked() {
   const size_t shards = shards_.size();
   std::vector<Status> status(shards);
   {
@@ -1316,7 +1280,6 @@ Status ClusterService::ReplanLocked() {
                     StrFormat("shard %u: %s", s, status[s].message().c_str()));
     }
   }
-  churn_since_replan_ = 0;
   return Status::OK();
 }
 
@@ -1326,7 +1289,6 @@ Status ClusterService::StartBackgroundReplan() {
     if (shard.service == nullptr) continue;  // killed shard
     PIGGY_RETURN_NOT_OK(shard.service->StartBackgroundReplan());
   }
-  churn_since_replan_ = 0;
   return Status::OK();
 }
 
@@ -1342,76 +1304,6 @@ Status ClusterService::WaitForBackgroundReplan() {
     if (first.ok() && !st.ok()) first = st;
   }
   return first;
-}
-
-Result<ClusterDriveReport> ClusterService::Drive(const DriverOptions& options) {
-  const double total_p = workload_.TotalProduction();
-  const double total_c = workload_.TotalConsumption();
-  if (total_p <= 0 || total_c <= 0) {
-    return Status::InvalidArgument("workload must have positive total rates");
-  }
-  AliasTable share_sampler(workload_.production);
-  AliasTable query_sampler(workload_.consumption);
-  const double p_share = total_p / (total_p + total_c);
-  Rng rng(options.seed);
-
-  // Raw counter snapshots: the report is a per-run delta, excluding both
-  // earlier runs and the one-off replica-backfill traffic of cluster setup.
-  const CrossTraffic cross_before = cross_.traffic();
-  const double shard_messages_before = ShardMessages();
-  std::vector<uint64_t> shard_requests_before(per_shard_requests_.size());
-  for (size_t s = 0; s < shard_requests_before.size(); ++s) {
-    shard_requests_before[s] = per_shard_requests_[s]->Value();
-  }
-
-  ClusterDriveReport report;
-  for (size_t i = 0; i < options.num_requests; ++i) {
-    // A request routed to a killed shard is a service rejection, not a
-    // driver error: count it and keep the mix flowing (scenario replays run
-    // through shard-failure windows).
-    if (rng.Bernoulli(p_share)) {
-      const Status st = Share(share_sampler.Sample(rng));
-      if (st.IsUnavailable()) {
-        ++report.unavailable;
-        continue;
-      }
-      PIGGY_RETURN_NOT_OK(st);
-      ++report.shares;
-    } else {
-      const NodeId u = query_sampler.Sample(rng);
-      const bool audit =
-          options.audit_every > 0 && report.queries % options.audit_every == 0;
-      const Status st = QueryInternal(u, audit).status();
-      if (st.IsUnavailable()) {
-        ++report.unavailable;
-        continue;
-      }
-      PIGGY_RETURN_NOT_OK(st);
-      ++report.queries;
-      report.audited_queries += audit;
-    }
-  }
-  report.requests = report.shares + report.queries;
-
-  if (report.requests > 0) {
-    const CrossTraffic cross_after = cross_.traffic();
-    const uint64_t cross_delta =
-        cross_after.update_messages + cross_after.query_messages -
-        cross_before.update_messages - cross_before.query_messages;
-    const double requests = static_cast<double>(report.requests);
-    report.messages_per_request =
-        (ShardMessages() - shard_messages_before +
-         static_cast<double>(cross_delta)) /
-        requests;
-    report.cross_messages_per_request =
-        static_cast<double>(cross_delta) / requests;
-  }
-  std::vector<uint64_t> routed(per_shard_requests_.size());
-  for (size_t s = 0; s < routed.size(); ++s) {
-    routed[s] = per_shard_requests_[s]->Value() - shard_requests_before[s];
-  }
-  report.imbalance = MaxOverMean(routed);
-  return report;
 }
 
 double ClusterService::ShardMessages() const {
@@ -1548,7 +1440,7 @@ ClusterMetrics ClusterService::GetMetrics() const {
   const uint64_t requests = m.shares + m.queries;
   if (requests > 0) {
     // Lifetime average, so the one-off backfill messages of setup and
-    // cross-shard Follows are included (unlike Drive's per-run delta).
+    // cross-shard Follows are included.
     m.messages_per_request =
         (ShardMessages() +
          static_cast<double>(m.cross_update_messages + m.cross_query_messages)) /

@@ -69,7 +69,6 @@
 #include "store/feed_service.h"
 #include "store/partitioner.h"
 #include "store/view_store.h"
-#include "store/workload_driver.h"
 #include "util/status.h"
 #include "workload/workload.h"
 
@@ -94,10 +93,6 @@ struct ClusterOptions {
   /// Audit every Nth merged stream against the cluster-wide oracle (0 = no
   /// cluster-level audits; shard-local audits are configured in shard).
   size_t audit_every = 0;
-  /// Re-plan every shard after this many cluster churn ops (0 = only explicit
-  /// Replan calls; shard.replan additionally applies per shard to its local
-  /// churn).
-  size_t replan_after_churn = 0;
   /// Cluster-wide persistence root (empty = memory-only, the default). When
   /// set, every shard keeps its own WAL + snapshot pair under
   /// <data_dir>/shard-NNNN and the router keeps a cluster-level pair under
@@ -174,20 +169,6 @@ struct ClusterMetrics {
   /// Accumulated recovery work: the initial Recover() plus every
   /// RestartShard() since (zeroed for a Create()'d cluster).
   RecoveryStats recovery;
-
-  std::string ToString() const;
-};
-
-/// \brief Measurements from one cluster Drive run.
-struct ClusterDriveReport {
-  uint64_t requests = 0;
-  uint64_t shares = 0;
-  uint64_t queries = 0;
-  size_t audited_queries = 0;
-  size_t unavailable = 0;  ///< requests rejected because a shard was down
-  double messages_per_request = 0;       ///< incl. cross-shard messages
-  double cross_messages_per_request = 0;
-  double imbalance = 0;                  ///< max/mean requests per shard
 
   std::string ToString() const;
 };
@@ -323,11 +304,6 @@ class ClusterService {
   /// the first shard error, if any.
   Status WaitForBackgroundReplan();
 
-  /// Replays a rate-weighted request mix through the router (the paper's
-  /// measurement loop at cluster scale). options.audit_every audits merged
-  /// streams regardless of the service-level audit cadence.
-  Result<ClusterDriveReport> Drive(const DriverOptions& options);
-
   ClusterMetrics GetMetrics() const;
 
   /// Re-checks every shard schedule (Theorem 1) and the router's cross-edge
@@ -386,10 +362,6 @@ class ClusterService {
   ClusterService(ClusterOptions options, ShardMap map, Workload workload,
                  size_t feed_size);
 
-  /// Routes one query and optionally audits the merged stream. Takes the
-  /// cluster lock shared.
-  Result<std::vector<EventTuple>> QueryInternal(NodeId u, bool force_audit);
-
   /// Checks the merged stream of `u` against the cluster-wide event oracle:
   /// soundness always, completeness only when `token` proves the read was
   /// quiescent. Requires the cluster lock held (shared suffices).
@@ -408,7 +380,6 @@ class ClusterService {
   /// Copies u's global share history under its stripe lock.
   std::vector<uint64_t> HistorySnapshot(NodeId producer) const;
 
-  Status ReplanLocked();
   Status ApplyChurnLocked();
 
   /// Per-shard FeedService configuration: the shared shard options plus this
@@ -527,7 +498,6 @@ class ClusterService {
   std::atomic<uint64_t> queries_since_audit_{0};
   // Churn counters: written under the exclusive lock, read under shared.
   size_t churn_ops_ = 0;
-  size_t churn_since_replan_ = 0;
 };
 
 }  // namespace piggy

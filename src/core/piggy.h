@@ -62,7 +62,8 @@
 #include "rebalance/planner.h"       // IWYU pragma: export
 #include "rebalance/trigger.h"       // IWYU pragma: export
 #include "sampling/samplers.h"       // IWYU pragma: export
+#include "scenario/replay.h"         // IWYU pragma: export
+#include "scenario/scenario.h"       // IWYU pragma: export
 #include "store/feed_service.h"      // IWYU pragma: export
 #include "store/prototype.h"         // IWYU pragma: export
-#include "store/workload_driver.h"   // IWYU pragma: export
 #include "workload/workload.h"       // IWYU pragma: export

@@ -7,6 +7,8 @@
 #include <utility>
 #include <vector>
 
+#include "core/cost_model.h"
+#include "scenario/drift.h"
 #include "util/alias_table.h"
 #include "util/rng.h"
 #include "util/string_util.h"
@@ -66,11 +68,12 @@ struct ServiceProbe {
   std::vector<uint64_t> per_shard_requests;  ///< cumulative (clusters)
 };
 
-/// The service-agnostic core: FeedService and ClusterService differ only in
-/// how counters are probed and how ground-truth cost is computed.
+/// The deployment-agnostic core: FeedService, ClusterService and a bare
+/// Prototype differ only in how requests are routed, how counters are probed
+/// and how ground-truth cost is computed.
 struct ServiceHooks {
   std::function<Status(NodeId)> share;
-  std::function<Result<size_t>(NodeId)> query;  // returns stream size (unused)
+  std::function<Status(NodeId)> query;
   std::function<Status(NodeId, NodeId)> follow;    // (follower, producer)
   std::function<Status(NodeId, NodeId)> unfollow;  // (follower, producer)
   /// Shard events; the argument is the scenario's shard *slot* (the hook
@@ -80,11 +83,16 @@ struct ServiceHooks {
   std::function<ServiceProbe()> probe;
   /// (true rates) -> (schedule cost, hybrid cost) on the current topology.
   std::function<std::pair<double, double>(const Workload&)> true_costs;
-  /// Optional epoch-close callback (ReplayOptions::on_epoch_close).
-  std::function<Status(const ReplayEpochRow&)> on_epoch_close;
-  /// Optional trace sink (ReplayOptions::trace).
-  obs::TraceLog* trace = nullptr;
 };
+
+/// InvalidArgument unless the deployment serves as many users as the
+/// scenario was built for.
+Status CheckUsers(const char* deployment, size_t users, const Scenario& scenario) {
+  if (users == scenario.graph().num_nodes()) return Status::OK();
+  return Status::InvalidArgument(
+      StrFormat("%s has %zu users but the scenario was built for %zu", deployment,
+                users, scenario.graph().num_nodes()));
+}
 
 /// Max/mean of the per-shard request deltas for one epoch (0 if no traffic
 /// or no shard breakdown — the FeedService path).
@@ -103,7 +111,7 @@ double EpochImbalance(const std::vector<uint64_t>& now,
 }
 
 Result<ReplayReport> Replay(Scenario& scenario, ServiceHooks hooks,
-                            ReplayReport report) {
+                            ReplayReport report, const ReplayOptions& options) {
   report.scenario = scenario.name();
   report.epochs.reserve(scenario.num_epochs());
 
@@ -113,9 +121,12 @@ Result<ReplayReport> Replay(Scenario& scenario, ServiceHooks hooks,
   ReplayEpochRow row;
   size_t current_epoch = 0;
   double epoch_trace_start =
-      hooks.trace != nullptr ? hooks.trace->NowUs() : 0;
+      options.trace != nullptr ? options.trace->NowUs() : 0;
 
   auto close_epoch = [&](size_t e) -> Status {
+    // The epoch's own serving time: the probe and true-cost scoring below
+    // are measurement bookkeeping, not traffic.
+    row.wall_seconds = epoch_timer.Seconds();
     const ServiceProbe now = hooks.probe();
     row.epoch = static_cast<uint32_t>(e);
     row.sim_time = scenario.EpochStart(e);
@@ -132,9 +143,8 @@ Result<ReplayReport> Replay(Scenario& scenario, ServiceHooks hooks,
     const auto [cost, hybrid] = hooks.true_costs(scenario.EpochWorkload(e));
     row.true_cost = cost;
     row.true_hybrid = hybrid;
-    row.wall_seconds = epoch_timer.Seconds();
-    if (hooks.trace != nullptr) {
-      hooks.trace->Span(
+    if (options.trace != nullptr) {
+      options.trace->Span(
           obs::TraceEventKind::kEpoch, epoch_trace_start, /*shard=*/-1,
           {{"epoch", std::to_string(row.epoch)},
            {"shares", std::to_string(row.shares)},
@@ -159,13 +169,13 @@ Result<ReplayReport> Replay(Scenario& scenario, ServiceHooks hooks,
     report.unavailable += row.unavailable;
     row = ReplayEpochRow{};
     epoch_timer.Reset();
-    if (hooks.on_epoch_close) {
-      PIGGY_RETURN_NOT_OK(hooks.on_epoch_close(report.epochs.back()));
+    if (options.on_epoch_close) {
+      PIGGY_RETURN_NOT_OK(options.on_epoch_close(report.epochs.back()));
     }
     // Re-probe after the hook: a migration it triggers shifts the counters,
     // and the next epoch should not inherit that as its own traffic.
-    epoch_start = hooks.on_epoch_close ? hooks.probe() : now;
-    if (hooks.trace != nullptr) epoch_trace_start = hooks.trace->NowUs();
+    epoch_start = options.on_epoch_close ? hooks.probe() : now;
+    if (options.trace != nullptr) epoch_trace_start = options.trace->NowUs();
     return Status::OK();
   };
 
@@ -190,7 +200,7 @@ Result<ReplayReport> Replay(Scenario& scenario, ServiceHooks hooks,
         ++row.shares;
         break;
       case ScenarioOpKind::kQuery:
-        PIGGY_RETURN_NOT_OK(tolerate(hooks.query(op.user).status()));
+        PIGGY_RETURN_NOT_OK(tolerate(hooks.query(op.user)));
         ++row.queries;
         break;
       case ScenarioOpKind::kFollow:
@@ -220,7 +230,10 @@ Result<ReplayReport> Replay(Scenario& scenario, ServiceHooks hooks,
 
   const ServiceProbe end = hooks.probe();
   report.messages = 0;
-  for (const ReplayEpochRow& e : report.epochs) report.messages += e.messages;
+  for (const ReplayEpochRow& e : report.epochs) {
+    report.messages += e.messages;
+    report.cross_messages += e.cross_messages;
+  }
   const uint64_t requests = report.shares + report.queries;
   report.messages_per_request =
       requests > 0 ? report.messages / static_cast<double>(requests) : 0;
@@ -236,7 +249,7 @@ Result<ReplayReport> ReplayWithAux(Scenario& scenario, ServiceHooks hooks,
                                    ReplayReport report, const Workload& workload,
                                    const ReplayOptions& options) {
   if (options.client_threads <= 1) {
-    return Replay(scenario, std::move(hooks), std::move(report));
+    return Replay(scenario, std::move(hooks), std::move(report), options);
   }
   const double total_p = workload.TotalProduction();
   const double total_c = workload.TotalConsumption();
@@ -270,7 +283,7 @@ Result<ReplayReport> ReplayWithAux(Scenario& scenario, ServiceHooks hooks,
         const bool is_share = rng.Bernoulli(p_share);
         const NodeId u = is_share ? share_sampler.Sample(rng)
                                   : query_sampler.Sample(rng);
-        const Status st = is_share ? share(u) : query(u).status();
+        const Status st = is_share ? share(u) : query(u);
         if (st.IsUnavailable()) {
           // Aux traffic runs through scripted outage windows; rejected
           // requests are expected there, not thread failures.
@@ -285,7 +298,7 @@ Result<ReplayReport> ReplayWithAux(Scenario& scenario, ServiceHooks hooks,
       } while (!stop.load(std::memory_order_acquire));
     });
   }
-  auto result = Replay(scenario, std::move(hooks), std::move(report));
+  auto result = Replay(scenario, std::move(hooks), std::move(report), options);
   stop.store(true, std::memory_order_release);
   for (std::thread& th : threads) th.join();
   PIGGY_ASSIGN_OR_RETURN(ReplayReport out, std::move(result));
@@ -300,43 +313,22 @@ Result<ReplayReport> ReplayWithAux(Scenario& scenario, ServiceHooks hooks,
 
 }  // namespace
 
-Result<ReplayReport> ReplayScenario(Scenario& scenario, FeedService& service) {
-  return ReplayScenario(scenario, service, ReplayOptions{});
-}
-
-Result<ReplayReport> ReplayScenario(Scenario& scenario, ClusterService& cluster) {
-  return ReplayScenario(scenario, cluster, ReplayOptions{});
-}
-
 Result<ReplayReport> ReplayScenario(Scenario& scenario, FeedService& service,
                                     const ReplayOptions& options) {
-  if (service.graph().num_nodes() != scenario.graph().num_nodes()) {
-    return Status::InvalidArgument(
-        StrFormat("service has %zu users but the scenario was built for %zu",
-                  service.graph().num_nodes(), scenario.graph().num_nodes()));
-  }
+  PIGGY_RETURN_NOT_OK(CheckUsers("service", service.graph().num_nodes(), scenario));
   ReplayReport report;
   report.planner = service.options().planner;
   report.policy = service.options().replan.ToString();
 
   ServiceHooks hooks;
   hooks.share = [&](NodeId u) { return service.Share(u); };
-  hooks.query = [&](NodeId u) -> Result<size_t> {
-    PIGGY_ASSIGN_OR_RETURN(std::vector<EventTuple> stream,
-                           service.QueryStream(u));
-    return stream.size();
-  };
+  hooks.query = [&](NodeId u) { return service.QueryStream(u).status(); };
   hooks.follow = [&](NodeId f, NodeId p) { return service.Follow(f, p); };
   hooks.unfollow = [&](NodeId f, NodeId p) { return service.Unfollow(f, p); };
-  hooks.shard_fail = [](uint32_t) {
+  hooks.shard_fail = hooks.shard_restart = [](uint32_t) {
     return Status::InvalidArgument(
         "shard events need a sharded cluster; a single FeedService has no "
-        "shards to fail");
-  };
-  hooks.shard_restart = [](uint32_t) {
-    return Status::InvalidArgument(
-        "shard events need a sharded cluster; a single FeedService has no "
-        "shards to restart");
+        "shards");
   };
   hooks.probe = [&] {
     const FeedService::Metrics m = service.GetMetrics();
@@ -355,30 +347,20 @@ Result<ReplayReport> ReplayScenario(Scenario& scenario, FeedService& service,
   hooks.true_costs = [&](const Workload& truth) {
     return service.CostsUnder(truth);
   };
-  hooks.on_epoch_close = options.on_epoch_close;
-  hooks.trace = options.trace;
   return ReplayWithAux(scenario, std::move(hooks), std::move(report),
                        service.WorkloadSnapshot(), options);
 }
 
 Result<ReplayReport> ReplayScenario(Scenario& scenario, ClusterService& cluster,
                                     const ReplayOptions& options) {
-  if (cluster.graph().num_nodes() != scenario.graph().num_nodes()) {
-    return Status::InvalidArgument(
-        StrFormat("cluster has %zu users but the scenario was built for %zu",
-                  cluster.graph().num_nodes(), scenario.graph().num_nodes()));
-  }
+  PIGGY_RETURN_NOT_OK(CheckUsers("cluster", cluster.graph().num_nodes(), scenario));
   ReplayReport report;
   report.planner = cluster.options().shard.planner;
   report.policy = cluster.options().shard.replan.ToString();
 
   ServiceHooks hooks;
   hooks.share = [&](NodeId u) { return cluster.Share(u); };
-  hooks.query = [&](NodeId u) -> Result<size_t> {
-    PIGGY_ASSIGN_OR_RETURN(std::vector<EventTuple> stream,
-                           cluster.QueryStream(u));
-    return stream.size();
-  };
+  hooks.query = [&](NodeId u) { return cluster.QueryStream(u).status(); };
   hooks.follow = [&](NodeId f, NodeId p) { return cluster.Follow(f, p); };
   hooks.unfollow = [&](NodeId f, NodeId p) { return cluster.Unfollow(f, p); };
   // Scenario shard slots wrap onto the live shards, so one scripted story
@@ -412,10 +394,66 @@ Result<ReplayReport> ReplayScenario(Scenario& scenario, ClusterService& cluster,
   hooks.true_costs = [&](const Workload& truth) {
     return cluster.CostsUnder(truth);
   };
-  hooks.on_epoch_close = options.on_epoch_close;
-  hooks.trace = options.trace;
   return ReplayWithAux(scenario, std::move(hooks), std::move(report),
                        cluster.workload(), options);
+}
+
+Result<ReplayReport> ReplayScenario(Scenario& scenario, Prototype& plane,
+                                    const Schedule& schedule,
+                                    const ReplayOptions& options) {
+  PIGGY_RETURN_NOT_OK(CheckUsers("plane", plane.graph().num_nodes(), scenario));
+  ReplayReport report;
+  report.planner = "fixed";
+  report.policy = ReplanPolicy::Never().ToString();
+
+  ServiceHooks hooks;
+  hooks.share = [&](NodeId u) {
+    plane.ShareEvent(u);
+    return Status::OK();
+  };
+  hooks.query = [&](NodeId u) {
+    plane.QueryStream(u);
+    return Status::OK();
+  };
+  hooks.follow = hooks.unfollow = [](NodeId, NodeId) {
+    return Status::InvalidArgument(
+        "churn needs a FeedService or a cluster; a bare serving plane has a "
+        "fixed graph");
+  };
+  hooks.shard_fail = hooks.shard_restart = [](uint32_t) {
+    return Status::InvalidArgument(
+        "shard events need a sharded cluster; a bare serving plane has no "
+        "shards");
+  };
+  hooks.probe = [&] {
+    const ClientMetrics m = plane.client().metrics();
+    ServiceProbe p;
+    p.messages = static_cast<double>(m.update_messages + m.query_messages);
+    p.shares = m.share_requests;
+    p.queries = m.query_requests;
+    return p;
+  };
+  hooks.true_costs = [&](const Workload& truth) {
+    return std::make_pair(
+        ScheduleCost(plane.graph(), truth, schedule, ResidualPolicy::kFree),
+        HybridCost(plane.graph(), truth));
+  };
+  return ReplayWithAux(scenario, std::move(hooks), std::move(report),
+                       scenario.base_workload(), options);
+}
+
+std::function<Status(const ReplayEpochRow&)> AuditPlaneAtEpochClose(
+    Prototype& plane, size_t per_epoch, size_t* audited) {
+  return [&plane, per_epoch, audited](const ReplayEpochRow& row) -> Status {
+    const size_t n = plane.graph().num_nodes();
+    for (size_t i = 0; i < per_epoch && n > 0; ++i) {
+      const NodeId u = static_cast<NodeId>((row.epoch + i * n / per_epoch) % n);
+      const Prototype::AuditToken token = plane.BeginAudit();
+      PIGGY_RETURN_NOT_OK(plane.AuditStream(u, plane.QueryStream(u), token));
+      ++*audited;
+    }
+    return Status::OK();
+  };
 }
 
 }  // namespace piggy

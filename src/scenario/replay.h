@@ -1,19 +1,21 @@
 // Scenario replay: drives a serving deployment through a scenario's op
 // stream and reports per-epoch cost/latency rows.
 //
-// This is the measurement loop for time-varying traffic — the successor of
-// the stationary RunWorkloadDriver. Shares, queries and churn ops are applied
-// through the service's public API (so audits, incremental repair and the
-// configured replan policy all engage exactly as in production); rate-shift
-// markers carry no service call — the system under test must *notice* drift
-// from traffic, never from ground truth. At every epoch boundary the driver
+// This is the repo's one sequential request driver: the "stationary"
+// scenario is the paper's measurement regime (Figs. 6 and 8), the other
+// scenarios its time-varying successors. Shares, queries and churn ops are
+// applied through the deployment's public API (so audits, incremental repair
+// and the configured replan policy all engage exactly as in production);
+// rate-shift markers carry no service call — the system under test must
+// *notice* drift from traffic, never from ground truth. At every epoch boundary the driver
 // snapshots a row: op counts, measured serving messages, the schedule's cost
 // under the epoch's ground-truth rates (which only the scenario knows), the
 // hybrid-baseline cost for reference, replans triggered, the service's
 // current drift estimate, and wall time.
 //
-// A 1-shard stationary replay is bit-identical to FeedService::Drive with
-// the same seed and request count (scenario_drive_test proves it).
+// A stationary replay through a FeedService is bit-identical to one through
+// a bare Prototype built from the service's schedule (scenario_drive_test
+// proves it).
 
 #pragma once
 
@@ -23,9 +25,11 @@
 #include <vector>
 
 #include "cluster/cluster_service.h"
+#include "core/schedule.h"
 #include "obs/trace.h"
 #include "scenario/scenario.h"
 #include "store/feed_service.h"
+#include "store/prototype.h"
 #include "util/status.h"
 
 namespace piggy {
@@ -75,6 +79,7 @@ struct ReplayReport {
   uint64_t follows = 0;
   uint64_t unfollows = 0;
   double messages = 0;  ///< total serving messages across the run
+  double cross_messages = 0;  ///< total batched cross-shard messages (clusters)
   double messages_per_request = 0;
   size_t replans = 0;  ///< total planner runs, including the initial plan
   double wall_seconds = 0;
@@ -95,8 +100,8 @@ struct ReplayReport {
 /// share/query background load through the same thread-safe serving API for
 /// the duration of the replay — the production shape where churn and replans
 /// race ordinary traffic. Aux traffic is counted in aux_requests and bleeds
-/// into the per-epoch message/latency accounting; use the 2-argument
-/// overloads (or client_threads = 1) for bit-exact single-threaded rows.
+/// into the per-epoch message/latency accounting; keep client_threads = 1
+/// for bit-exact single-threaded rows.
 struct ReplayOptions {
   size_t client_threads = 1;
   uint64_t seed = 42;
@@ -118,19 +123,31 @@ struct ReplayOptions {
 /// through a single-process deployment. The service must be built over the
 /// scenario's graph (same node count). Returns an error if any op fails —
 /// including audit divergence when the service audits.
-Result<ReplayReport> ReplayScenario(Scenario& scenario, FeedService& service);
+Result<ReplayReport> ReplayScenario(Scenario& scenario, FeedService& service,
+                                    const ReplayOptions& options = {});
 
 /// Same, through a sharded cluster; true costs sum the per-shard schedule
 /// costs under shard-projected ground-truth rates plus the router's predicted
 /// cross-shard cost.
-Result<ReplayReport> ReplayScenario(Scenario& scenario, ClusterService& cluster);
-
-/// Replay with concurrent auxiliary client load (see ReplayOptions).
-Result<ReplayReport> ReplayScenario(Scenario& scenario, FeedService& service,
-                                    const ReplayOptions& options);
-
-/// Same, through a sharded cluster.
 Result<ReplayReport> ReplayScenario(Scenario& scenario, ClusterService& cluster,
-                                    const ReplayOptions& options);
+                                    const ReplayOptions& options = {});
+
+/// Same, through a bare serving plane built from `schedule` (no planner, no
+/// service-level audits; on_epoch_close can audit against the plane's event
+/// log). True costs score `schedule` on the plane's graph. The plane cannot
+/// churn or fail shards: scenarios that script either fail with
+/// InvalidArgument.
+Result<ReplayReport> ReplayScenario(Scenario& scenario, Prototype& plane,
+                                    const Schedule& schedule,
+                                    const ReplayOptions& options = {});
+
+/// An on_epoch_close hook for plane replays, the bare plane's counterpart of
+/// FeedServiceOptions::audit_every: at every epoch close it queries
+/// `per_epoch` users spread over the id space (the spread rotates with the
+/// epoch) and checks each feed against the plane's event-log oracle, adding
+/// the audits to *audited. The replay re-probes after the hook, so audit
+/// queries stay out of the epoch rows.
+std::function<Status(const ReplayEpochRow&)> AuditPlaneAtEpochClose(
+    Prototype& plane, size_t per_epoch, size_t* audited);
 
 }  // namespace piggy

@@ -162,7 +162,7 @@ class EpochScenario final : public Scenario {
  private:
   // Rebuilds the alias tables for the rates now in effect. Deterministic and
   // RNG-free, so splitting a stationary run across epochs cannot perturb the
-  // request stream (the parity with RunWorkloadDriver depends on this).
+  // request stream.
   void LoadSamplers(const Workload& w) {
     const double total_p = w.TotalProduction();
     const double total_c = w.TotalConsumption();
@@ -173,9 +173,9 @@ class EpochScenario final : public Scenario {
     p_share_ = total_p + total_c > 0 ? total_p / (total_p + total_c) : 0;
   }
 
-  // Exactly RunWorkloadDriver's draw order: one Bernoulli, then one alias
-  // sample. Zero-rate sides skip their (unbuildable) table without consuming
-  // extra randomness from the other side's stream.
+  // One Bernoulli, then one alias sample. Zero-rate sides skip their
+  // (unbuildable) table without consuming extra randomness from the other
+  // side's stream.
   void SampleRequest(ScenarioOp* op) {
     if (share_sampler_.has_value() &&
         (!query_sampler_.has_value() || rng_.Bernoulli(p_share_))) {
@@ -219,7 +219,7 @@ using WorkloadPtr = std::shared_ptr<const Workload>;
 
 Rng ChurnRng(const ScenarioOptions& options) {
   // Independent from the request sampler's Rng(seed) stream: churn placement
-  // must not perturb request sampling (or stationary parity would break).
+  // must not perturb request sampling.
   return Rng(Mix64(options.seed ^ 0xc4a81e5ce7a11ULL));
 }
 

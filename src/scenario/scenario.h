@@ -16,14 +16,13 @@
 //
 // Simulated time runs over [0, options.duration), split into options.epochs
 // equal epochs; each epoch has ground-truth per-user rates (EpochWorkload)
-// and the request mix inside it is sampled exactly like the stationary
-// workload driver — a request is a share with probability R_p / (R_p + R_c)
-// under the epoch's rates, actors drawn from per-user alias tables. The
-// request count per epoch is proportional to the epoch's total rate, so
-// bursts emit denser traffic. Streams are bit-deterministic given
-// (graph, base workload, options): Reset() + re-emission reproduces the
-// stream, and the "stationary" scenario's request sequence is bit-identical
-// to RunWorkloadDriver's with the same seed.
+// and the request mix inside it is sampled as the paper's cost model
+// assumes — a request is a share with probability R_p / (R_p + R_c) under
+// the epoch's rates, actors drawn from per-user alias tables. The request
+// count per epoch is proportional to the epoch's total rate, so bursts emit
+// denser traffic. Streams are bit-deterministic given (graph, base workload,
+// options): Reset() + re-emission reproduces the stream, and a "stationary"
+// request sequence does not depend on the epoch count.
 //
 // Registered names (see RegisteredScenarios() for one-line descriptions):
 //   "stationary"     fixed rates, no churn (the paper's evaluation regime)
@@ -100,8 +99,8 @@ struct ScenarioOp {
 struct ScenarioOptions {
   /// Share + query ops emitted across the whole run (churn ops are extra).
   size_t num_requests = 100000;
-  /// Seeds both the request sampler (identically to DriverOptions::seed) and
-  /// the independent churn-placement generator.
+  /// Seeds both the request sampler (Rng(seed)) and the independent
+  /// churn-placement generator.
   uint64_t seed = 7;
   /// Simulated length of the run, in abstract seconds.
   double duration = 86400.0;

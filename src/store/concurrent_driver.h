@@ -1,6 +1,7 @@
 // Multi-threaded serving driver: the measurement loop behind the concurrent
-// serving bench (bench_fig11_serving), `piggy_tool --client-threads`, and the
-// concurrent stress tests.
+// serving bench (bench_fig11_serving) and the concurrent stress tests.
+// Sequential drives (and `piggy_tool --client-threads`) go through scenario
+// replay instead (scenario/replay.h).
 //
 // N client threads hammer one serving endpoint with a rate-weighted
 // share/query mix, back to back (a saturating load: each thread issues its
@@ -79,7 +80,8 @@ struct ServingOps {
 };
 
 /// Drives `ops` from options.client_threads threads with a share/query mix
-/// weighted by `workload` (same Bernoulli split as RunWorkloadDriver).
+/// weighted by `workload` (same Bernoulli split as the scenario request
+/// sampler).
 /// Returns the first op error, if any thread hit one.
 Result<ConcurrentDriveReport> RunConcurrentDriver(
     const Workload& workload, const ServingOps& ops,

@@ -918,15 +918,6 @@ Status FeedService::WaitForSnapshotPublish() {
   return publish_status_;
 }
 
-Result<DriverReport> FeedService::Drive(const DriverOptions& options) {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  PIGGY_RETURN_NOT_OK(EnsureServing(lock));
-  PIGGY_ASSIGN_OR_RETURN(DriverReport report,
-                         RunWorkloadDriver(*prototype_, workload_, options));
-  audited_queries_.fetch_add(report.audited_queries, std::memory_order_relaxed);
-  return report;
-}
-
 Result<Prototype*> FeedService::ServingPlane() {
   std::shared_lock<std::shared_mutex> lock(mu_);
   PIGGY_RETURN_NOT_OK(EnsureServing(lock));

@@ -78,7 +78,6 @@
 #include "scenario/drift.h"
 #include "store/prototype.h"
 #include "store/view_store.h"
-#include "store/workload_driver.h"
 #include "util/status.h"
 #include "workload/workload.h"
 
@@ -186,10 +185,6 @@ class FeedService {
   /// Blocks until no background replan is queued or running; returns the
   /// status of the last completed background run (OK if none ever ran).
   Status WaitForBackgroundReplan();
-
-  /// Replays a rate-weighted request mix through the service (the paper's
-  /// measurement loop). Uses the service's own workload and audit oracle.
-  Result<DriverReport> Drive(const DriverOptions& options);
 
   /// \brief Cost + serving counters, aggregated across serving-plane
   /// rebuilds.

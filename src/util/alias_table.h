@@ -1,8 +1,8 @@
 // Walker alias method for O(1) sampling from a discrete distribution.
 //
-// The prototype's workload driver draws millions of user ids weighted by
-// production / consumption rates; the alias table makes each draw two table
-// lookups regardless of population size.
+// The request samplers (scenario streams, the concurrent driver) draw
+// millions of user ids weighted by production / consumption rates; the alias
+// table makes each draw two table lookups regardless of population size.
 
 #pragma once
 

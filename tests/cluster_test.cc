@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <unordered_set>
 #include <utility>
@@ -19,6 +20,9 @@
 #include "gen/generators.h"
 #include "gen/presets.h"
 #include "graph/graph_builder.h"
+#include "scenario/drift.h"
+#include "scenario/replay.h"
+#include "scenario/scenario.h"
 #include "store/feed_service.h"
 #include "util/rng.h"
 #include "workload/workload.h"
@@ -36,6 +40,20 @@ ClusterOptions SmallCluster(size_t shards, const std::string& planner) {
   options.shard.audit_every = 1;  // shard-local audits on every local feed
   options.audit_every = 1;        // cluster audits on every merged stream
   return options;
+}
+
+// The paper's stationary request mix at the cluster's rates.
+std::unique_ptr<Scenario> StationaryReplay(const Graph& g,
+                                           const ClusterService& cluster,
+                                           size_t requests, uint64_t seed) {
+  return MakeScenario("stationary", g, cluster.workload(),
+                      {.num_requests = requests, .seed = seed})
+      .MoveValueOrDie();
+}
+
+// Batched cross-shard messages per replayed request.
+double CrossMessagesPerRequest(const ReplayReport& report) {
+  return report.cross_messages / static_cast<double>(report.shares + report.queries);
 }
 
 void ExpectSameSchedule(const Schedule& a, const Schedule& b) {
@@ -298,51 +316,60 @@ TEST(ClusterServiceTest, EmptyShardsAreTolerated) {
   ASSERT_TRUE(cluster->Validate().ok());
 }
 
+// Each shard applies shard.replan to its own churn: same-shard follows count
+// toward that shard's EveryN period; cross-shard follows go to the router
+// and count toward none.
 TEST(ClusterServiceTest, AutoReplanTriggersAfterConfiguredChurn) {
   Graph g = MakeFlickrLike(150, 9).ValueOrDie();
   ClusterOptions options = SmallCluster(2, "hybrid");
-  options.replan_after_churn = 5;
+  options.shard.replan = ReplanPolicy::EveryN(5);
   auto cluster = ClusterService::Create(g, options).MoveValueOrDie();
 
   Rng rng(5);
   size_t applied = 0;
-  while (applied < 11) {
+  while (applied < 40) {
     NodeId u = static_cast<NodeId>(rng.Uniform(150));
     NodeId v = static_cast<NodeId>(rng.Uniform(150));
     if (u == v || cluster->graph().HasEdge(v, u)) continue;
     ASSERT_TRUE(cluster->Follow(u, v).ok());
     ++applied;
   }
-  // 11 churn ops, threshold 5: initial plan + 2 cluster replans, per shard.
+  // Initial plan + one replan per 5 local churn ops, per shard.
+  size_t local_churn = 0, replans = 0;
+  for (size_t s = 0; s < cluster->num_shards(); ++s) {
+    const FeedService::Metrics sm = cluster->shard(s).GetMetrics();
+    EXPECT_GE(sm.churn_ops, 5u) << "shard " << s;
+    EXPECT_EQ(sm.replans, 1 + sm.churn_ops / 5) << "shard " << s;
+    local_churn += sm.churn_ops;
+    replans += sm.replans;
+  }
+  EXPECT_LT(local_churn, 40u);  // some follows crossed shards
   ClusterMetrics m = cluster->GetMetrics();
-  EXPECT_EQ(m.replans, 2u * 3u);
-  EXPECT_EQ(m.churn_ops, 11u);
+  EXPECT_EQ(m.replans, replans);
+  EXPECT_EQ(m.churn_ops, 40u);
   ASSERT_TRUE(cluster->Validate().ok());
 }
 
 TEST(ClusterServiceTest, DriveReplaysTheWorkloadWithAudits) {
   Graph g = MakeFlickrLike(240, 12).ValueOrDie();
   ClusterOptions options = SmallCluster(4, "nosy");
-  options.audit_every = 0;  // Drive's own cadence only
+  options.audit_every = 25;
   auto cluster = ClusterService::Create(g, options).MoveValueOrDie();
 
-  DriverOptions traffic;
-  traffic.num_requests = 1500;
-  traffic.audit_every = 25;
-  traffic.seed = 4;
-  ClusterDriveReport report = cluster->Drive(traffic).MoveValueOrDie();
-  EXPECT_EQ(report.requests, 1500u);
+  auto scenario = StationaryReplay(g, *cluster, 1500, 4);
+  ReplayReport report = ReplayScenario(*scenario, *cluster).MoveValueOrDie();
+  EXPECT_EQ(report.shares + report.queries, 1500u);
   EXPECT_GT(report.shares, 0u);
   EXPECT_GT(report.queries, 0u);
-  EXPECT_GT(report.audited_queries, 10u);
   EXPECT_GT(report.messages_per_request, 0.0);
-  EXPECT_GT(report.cross_messages_per_request, 0.0);
-  EXPECT_GE(report.imbalance, 1.0);
+  EXPECT_GT(CrossMessagesPerRequest(report), 0.0);
   EXPECT_FALSE(report.ToString().empty());
 
   ClusterMetrics m = cluster->GetMetrics();
   EXPECT_EQ(m.shares + m.queries, 1500u);
-  EXPECT_EQ(m.audited_queries, report.audited_queries);
+  EXPECT_EQ(m.audited_queries, m.queries / 25);
+  EXPECT_GT(m.audited_queries, 10u);
+  EXPECT_GE(m.imbalance, 1.0);
 }
 
 // The merge's contract on its own: newest-first local list plus any number
@@ -469,17 +496,15 @@ TEST(ClusterServiceTest, BoundedMergeStaysAuditCleanWithOverfullSources) {
 }
 
 // The router records its own latency: one histogram sample per routed Share
-// and per query, Drive's queries included.
+// and per query, a replay's queries included.
 TEST(ClusterServiceTest, RouterLatencyHistogramsCountEveryRequest) {
   Graph g = MakeFlickrLike(200, 4).ValueOrDie();
   ClusterOptions options = SmallCluster(4, "nosy");
   options.audit_every = 0;
   auto cluster = ClusterService::Create(g, options).MoveValueOrDie();
 
-  DriverOptions traffic;
-  traffic.num_requests = 1000;
-  traffic.seed = 8;
-  ASSERT_TRUE(cluster->Drive(traffic).ok());
+  auto scenario = StationaryReplay(g, *cluster, 1000, 8);
+  ASSERT_TRUE(ReplayScenario(*scenario, *cluster).ok());
   for (NodeId u = 0; u < 50; ++u) {
     ASSERT_TRUE(cluster->Share(u).ok());
     ASSERT_TRUE(cluster->QueryStream(u).ok());
@@ -512,12 +537,13 @@ TEST(ClusterServiceTest, EdgeCutPartitionerBeatsHashOnCommunityGraph) {
   EXPECT_LT(cm.cross_edges, hm.cross_edges);
   EXPECT_LT(cm.cross_cost, hm.cross_cost);
 
-  DriverOptions traffic;
-  traffic.num_requests = 2000;
-  traffic.seed = 3;
-  ClusterDriveReport hr = hash->Drive(traffic).MoveValueOrDie();
-  ClusterDriveReport cr = cut->Drive(traffic).MoveValueOrDie();
-  EXPECT_LT(cr.cross_messages_per_request, hr.cross_messages_per_request);
+  auto hash_scenario = StationaryReplay(g, *hash, 2000, 3);
+  auto cut_scenario = StationaryReplay(g, *cut, 2000, 3);
+  ReplayReport hr = ReplayScenario(*hash_scenario, *hash).MoveValueOrDie();
+  ReplayReport cr = ReplayScenario(*cut_scenario, *cut).MoveValueOrDie();
+  EXPECT_LT(CrossMessagesPerRequest(cr), CrossMessagesPerRequest(hr));
+  EXPECT_GT(hash->GetMetrics().audited_queries, 0u);
+  EXPECT_GT(cut->GetMetrics().audited_queries, 0u);
 }
 
 }  // namespace

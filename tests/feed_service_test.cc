@@ -10,6 +10,8 @@
 #include "core/cost_model.h"
 #include "core/validator.h"
 #include "gen/presets.h"
+#include "scenario/replay.h"
+#include "scenario/scenario.h"
 #include "store/feed_service.h"
 #include "util/rng.h"
 #include "workload/workload.h"
@@ -201,17 +203,19 @@ TEST(FeedServiceTest, AutoReplanTriggersAfterConfiguredChurn) {
 
 TEST(FeedServiceTest, DriveReplaysTheWorkloadWithAudits) {
   Graph g = MakeFlickrLike(300, 12).ValueOrDie();
-  auto service = FeedService::Create(g, SmallDeployment("nosy")).MoveValueOrDie();
-  DriverOptions traffic;
-  traffic.num_requests = 2000;
-  traffic.audit_every = 25;
-  traffic.seed = 4;
-  DriverReport report = service->Drive(traffic).MoveValueOrDie();
-  EXPECT_GT(report.audited_queries, 10u);
-  EXPECT_GT(report.actual_throughput, 0.0);
+  FeedServiceOptions options = SmallDeployment("nosy");
+  options.audit_every = 25;
+  auto service = FeedService::Create(g, options).MoveValueOrDie();
+  auto scenario = MakeScenario("stationary", g, service->WorkloadSnapshot(),
+                               {.num_requests = 2000, .seed = 4})
+                      .MoveValueOrDie();
+  ReplayReport report = ReplayScenario(*scenario, *service).MoveValueOrDie();
+  EXPECT_EQ(report.shares + report.queries, 2000u);
   FeedService::Metrics m = service->GetMetrics();
-  EXPECT_GE(m.shares + m.queries, 2000u);
-  EXPECT_GE(m.audited_queries, report.audited_queries);
+  EXPECT_EQ(m.shares + m.queries, 2000u);
+  EXPECT_EQ(m.audited_queries, m.queries / 25);
+  EXPECT_GT(m.audited_queries, 10u);
+  EXPECT_GT(m.actual_throughput, 0.0);
 }
 
 // The facade reports costs consistent with the core cost model, so capacity

@@ -8,6 +8,17 @@
 namespace piggy {
 namespace {
 
+// Replays `requests` requests of the paper's stationary mix at `w`'s rates
+// through `plane`, which serves `schedule`.
+ReplayReport ReplayStationary(Prototype& plane, const Workload& w,
+                              const Schedule& schedule, size_t requests,
+                              uint64_t seed, const ReplayOptions& options = {}) {
+  auto scenario = MakeScenario("stationary", plane.graph(), w,
+                               {.num_requests = requests, .seed = seed})
+                      .MoveValueOrDie();
+  return ReplayScenario(*scenario, plane, schedule, options).MoveValueOrDie();
+}
+
 class PipelineTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -60,13 +71,12 @@ TEST_F(PipelineTest, EveryRegisteredPlannerValidatesAndServes) {
     opt.num_servers = 32;
     opt.view_capacity = 0;  // exact audits
     auto proto = Prototype::Create(graph_, plan.schedule, opt).MoveValueOrDie();
-    DriverOptions d;
-    d.num_requests = 3000;
-    d.audit_every = 20;
-    d.seed = 13;
-    auto report = RunWorkloadDriver(*proto, workload_, d).ValueOrDie();
-    EXPECT_GT(report.audited_queries, 10u);
-    EXPECT_GT(report.actual_throughput, 0.0);
+    size_t audited = 0;
+    ReplayOptions options;
+    options.on_epoch_close = AuditPlaneAtEpochClose(*proto, 2, &audited);
+    ReplayStationary(*proto, workload_, plan.schedule, 3000, 13, options);
+    EXPECT_GT(audited, 10u);
+    EXPECT_GT(proto->ActualThroughput(), 0.0);
   }
 }
 
@@ -78,17 +88,14 @@ TEST_F(PipelineTest, PiggybackReducesMessagesOnLargeFleets) {
 
   PrototypeOptions opt;
   opt.num_servers = 256;  // large fleet: placement co-location is rare
-  DriverOptions d;
-  d.num_requests = 8000;
-  d.seed = 17;
 
   auto proto_ff = Prototype::Create(graph_, ff, opt).MoveValueOrDie();
-  auto report_ff = RunWorkloadDriver(*proto_ff, workload_, d).ValueOrDie();
+  auto report_ff = ReplayStationary(*proto_ff, workload_, ff, 8000, 17);
   auto proto_pn = Prototype::Create(graph_, pn.schedule, opt).MoveValueOrDie();
-  auto report_pn = RunWorkloadDriver(*proto_pn, workload_, d).ValueOrDie();
+  auto report_pn = ReplayStationary(*proto_pn, workload_, pn.schedule, 8000, 17);
 
   EXPECT_LT(report_pn.messages_per_request, report_ff.messages_per_request);
-  EXPECT_GT(report_pn.actual_throughput, report_ff.actual_throughput);
+  EXPECT_GT(proto_pn->ActualThroughput(), proto_ff->ActualThroughput());
 }
 
 TEST_F(PipelineTest, MeasuredMessagesMatchPlacementCost) {
@@ -103,10 +110,7 @@ TEST_F(PipelineTest, MeasuredMessagesMatchPlacementCost) {
   double predicted_mpr = predicted_cost / total_rate;
 
   auto proto = Prototype::Create(graph_, ff, opt).MoveValueOrDie();
-  DriverOptions d;
-  d.num_requests = 20000;
-  d.seed = 23;
-  auto report = RunWorkloadDriver(*proto, workload_, d).ValueOrDie();
+  auto report = ReplayStationary(*proto, workload_, ff, 20000, 23);
   EXPECT_NEAR(report.messages_per_request, predicted_mpr,
               predicted_mpr * 0.05);
 }

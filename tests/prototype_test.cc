@@ -6,13 +6,26 @@
 #include "core/baselines.h"
 #include "core/parallel_nosy.h"
 #include "gen/presets.h"
+#include "scenario/replay.h"
+#include "scenario/scenario.h"
 #include "store/event_log.h"
 #include "store/prototype.h"
-#include "store/workload_driver.h"
 #include "workload/workload.h"
 
 namespace piggy {
 namespace {
+
+// Replays `requests` requests of the paper's stationary mix at `workload`'s
+// rates through `plane`, which serves `schedule`.
+ReplayReport ReplayStationary(Prototype& plane, const Workload& workload,
+                              const Schedule& schedule, size_t requests,
+                              uint64_t seed = 7, const ReplayOptions& options = {}) {
+  auto scenario =
+      MakeScenario("stationary", plane.graph(), workload,
+                   {.num_requests = requests, .seed = seed})
+          .MoveValueOrDie();
+  return ReplayScenario(*scenario, plane, schedule, options).MoveValueOrDie();
+}
 
 struct SmallSystem {
   explicit SmallSystem(size_t servers, size_t view_capacity = 0) {
@@ -94,46 +107,46 @@ TEST(PrototypeTest, MoreServersLowerPerClientThroughput) {
   double prev = 1e18;
   for (size_t servers : {1, 8, 64}) {
     SmallSystem sys(servers);
-    DriverOptions d;
-    d.num_requests = 4000;
-    d.seed = 5;
-    auto report = RunWorkloadDriver(*sys.prototype, sys.workload, d).ValueOrDie();
-    EXPECT_LE(report.actual_throughput, prev + 1e-6);
-    prev = report.actual_throughput;
+    ReplayStationary(*sys.prototype, sys.workload, sys.schedule, 4000, 5);
+    const double throughput = sys.prototype->ActualThroughput();
+    EXPECT_LE(throughput, prev + 1e-6);
+    prev = throughput;
   }
 }
 
 TEST(PrototypeTest, PerServerLoadsSumToMessages) {
   SmallSystem sys(16);
-  DriverOptions d;
-  d.num_requests = 3000;
-  auto report = RunWorkloadDriver(*sys.prototype, sys.workload, d).ValueOrDie();
+  ReplayReport report =
+      ReplayStationary(*sys.prototype, sys.workload, sys.schedule, 3000);
+  EXPECT_EQ(report.shares + report.queries, 3000u);
   uint64_t total_queries = 0, total_updates = 0;
-  for (uint64_t q : report.per_server_queries) total_queries += q;
-  for (uint64_t u : report.per_server_updates) total_updates += u;
-  EXPECT_EQ(total_queries, report.client.query_messages);
-  EXPECT_EQ(total_updates, report.client.update_messages);
+  for (uint64_t q : sys.prototype->PerServerQueryLoad()) total_queries += q;
+  for (uint64_t u : sys.prototype->PerServerUpdateLoad()) total_updates += u;
+  const ClientMetrics client = sys.prototype->client().metrics();
+  EXPECT_EQ(total_queries, client.query_messages);
+  EXPECT_EQ(total_updates, client.update_messages);
+  EXPECT_EQ(report.messages,
+            static_cast<double>(client.query_messages + client.update_messages));
 }
 
 TEST(PrototypeTest, DriverIsDeterministic) {
   SmallSystem a(8), b(8);
-  DriverOptions d;
-  d.num_requests = 2000;
-  d.seed = 9;
-  auto ra = RunWorkloadDriver(*a.prototype, a.workload, d).ValueOrDie();
-  auto rb = RunWorkloadDriver(*b.prototype, b.workload, d).ValueOrDie();
-  EXPECT_EQ(ra.client.share_requests, rb.client.share_requests);
-  EXPECT_EQ(ra.client.update_messages, rb.client.update_messages);
-  EXPECT_EQ(ra.per_server_queries, rb.per_server_queries);
+  ReplayReport ra = ReplayStationary(*a.prototype, a.workload, a.schedule, 2000, 9);
+  ReplayReport rb = ReplayStationary(*b.prototype, b.workload, b.schedule, 2000, 9);
+  EXPECT_EQ(ra.shares, rb.shares);
+  EXPECT_EQ(ra.messages, rb.messages);  // bitwise
+  EXPECT_EQ(a.prototype->client().metrics().update_messages,
+            b.prototype->client().metrics().update_messages);
+  EXPECT_EQ(a.prototype->PerServerQueryLoad(), b.prototype->PerServerQueryLoad());
 }
 
 TEST(PrototypeTest, DriverAuditsPass) {
   SmallSystem sys(8);
-  DriverOptions d;
-  d.num_requests = 3000;
-  d.audit_every = 50;
-  auto report = RunWorkloadDriver(*sys.prototype, sys.workload, d).ValueOrDie();
-  EXPECT_GT(report.audited_queries, 0u);
+  size_t audited = 0;
+  ReplayOptions options;
+  options.on_epoch_close = AuditPlaneAtEpochClose(*sys.prototype, 4, &audited);
+  ReplayStationary(*sys.prototype, sys.workload, sys.schedule, 3000, 7, options);
+  EXPECT_EQ(audited, 16u * 4u);  // 16 epochs, 4 feeds each
 }
 
 TEST(PrototypeTest, DriverAuditsPassWithPiggybackSchedule) {
@@ -144,20 +157,19 @@ TEST(PrototypeTest, DriverAuditsPassWithPiggybackSchedule) {
   opt.num_servers = 16;
   opt.view_capacity = 0;
   auto proto = Prototype::Create(graph, pn.schedule, opt).MoveValueOrDie();
-  DriverOptions d;
-  d.num_requests = 4000;
-  d.audit_every = 25;
-  auto report = RunWorkloadDriver(*proto, workload, d).ValueOrDie();
-  EXPECT_GT(report.audited_queries, 0u);
+  size_t audited = 0;
+  ReplayOptions options;
+  options.on_epoch_close = AuditPlaneAtEpochClose(*proto, 8, &audited);
+  ReplayStationary(*proto, workload, pn.schedule, 4000, 7, options);
+  EXPECT_EQ(audited, 16u * 8u);
 }
 
 TEST(PrototypeTest, RequestMixTracksRates) {
   SmallSystem sys(4);
-  DriverOptions d;
-  d.num_requests = 20000;
-  auto report = RunWorkloadDriver(*sys.prototype, sys.workload, d).ValueOrDie();
-  double share_fraction = static_cast<double>(report.client.share_requests) /
-                          static_cast<double>(report.client.requests());
+  ReplayReport report =
+      ReplayStationary(*sys.prototype, sys.workload, sys.schedule, 20000);
+  double share_fraction = static_cast<double>(report.shares) /
+                          static_cast<double>(report.shares + report.queries);
   double expected = sys.workload.TotalProduction() /
                     (sys.workload.TotalProduction() + sys.workload.TotalConsumption());
   EXPECT_NEAR(share_fraction, expected, 0.02);
@@ -165,12 +177,22 @@ TEST(PrototypeTest, RequestMixTracksRates) {
 
 TEST(PrototypeTest, NormalizedLoadStatistics) {
   SmallSystem sys(10);
-  DriverOptions d;
-  d.num_requests = 5000;
-  auto report = RunWorkloadDriver(*sys.prototype, sys.workload, d).ValueOrDie();
-  EXPECT_NEAR(report.NormalizedQueryLoadMean(), 0.1, 1e-9);
-  EXPECT_GE(report.NormalizedQueryLoadVariance(), 0.0);
-  EXPECT_LT(report.NormalizedQueryLoadVariance(), 0.01);
+  ReplayReport report =
+      ReplayStationary(*sys.prototype, sys.workload, sys.schedule, 5000);
+  const std::vector<uint64_t> loads = sys.prototype->PerServerQueryLoad();
+  ASSERT_EQ(loads.size(), 10u);
+  uint64_t total = 0;
+  for (uint64_t q : loads) total += q;
+  ASSERT_GT(total, 0u);
+  double mean = 0, variance = 0;
+  for (uint64_t q : loads) mean += static_cast<double>(q) / static_cast<double>(total);
+  mean /= 10;
+  for (uint64_t q : loads) {
+    const double norm = static_cast<double>(q) / static_cast<double>(total);
+    variance += (norm - mean) * (norm - mean) / 10;
+  }
+  EXPECT_NEAR(mean, 0.1, 1e-9);
+  EXPECT_LT(variance, 0.01);
   EXPECT_FALSE(report.ToString().empty());
 }
 

@@ -1,5 +1,5 @@
-// Scenario replay end-to-end: parity of the stationary replay with the
-// legacy FeedService::Drive path, workload-driver edge cases under churn
+// Scenario replay end-to-end: parity of a stationary replay through a
+// FeedService with one through its bare serving plane, edge cases under churn
 // (empty epochs, rate shift to zero, producers losing every consumer),
 // replay determinism, drift-triggered adaptive replanning beating
 // never-replan under a flash crowd, and the sharded cluster under a
@@ -13,11 +13,13 @@
 #include <vector>
 
 #include "cluster/cluster_service.h"
+#include "core/planner.h"
 #include "gen/presets.h"
 #include "scenario/drift.h"
 #include "scenario/replay.h"
 #include "scenario/scenario.h"
 #include "store/feed_service.h"
+#include "store/prototype.h"
 #include "workload/workload.h"
 
 namespace piggy {
@@ -32,51 +34,78 @@ FeedServiceOptions SmallDeployment(const std::string& planner) {
   return options;
 }
 
-// The acceptance criterion: a 1-service stationary replay is bit-identical
-// to FeedService::Drive with the same seed — same request sequence, same
-// serving messages, same feeds.
-TEST(ScenarioDriveTest, StationaryReplayMatchesDriveBitForBit) {
+// A stationary replay through a FeedService drives its serving plane exactly
+// like the same replay through a bare Prototype built from the service's
+// schedule: same request sequence, same serving messages, same per-server
+// load, same feeds.
+TEST(ScenarioDriveTest, StationaryReplayMatchesBarePlaneBitForBit) {
   Graph g = MakeFlickrLike(300, 12).ValueOrDie();
   Workload w = GenerateWorkload(g, {.min_rate = 0.05}).ValueOrDie();
 
   FeedServiceOptions options = SmallDeployment("nosy");
-  auto drive_service = FeedService::Create(g, w, options).MoveValueOrDie();
-  auto replay_service = FeedService::Create(g, w, options).MoveValueOrDie();
-
-  DriverOptions traffic;
-  traffic.num_requests = 5000;
-  traffic.seed = 21;
-  DriverReport drive_report = drive_service->Drive(traffic).MoveValueOrDie();
+  auto service = FeedService::Create(g, w, options).MoveValueOrDie();
+  auto plane =
+      Prototype::Create(g, service->schedule(), options.prototype).MoveValueOrDie();
 
   ScenarioOptions scenario_options;
-  scenario_options.num_requests = traffic.num_requests;
-  scenario_options.seed = traffic.seed;
+  scenario_options.num_requests = 5000;
+  scenario_options.seed = 21;
   auto scenario =
       MakeScenario("stationary", g, w, scenario_options).MoveValueOrDie();
-  ReplayReport replay_report =
-      ReplayScenario(*scenario, *replay_service).MoveValueOrDie();
+  ReplayReport service_report =
+      ReplayScenario(*scenario, *service).MoveValueOrDie();
+  scenario->Reset();
+  ReplayReport plane_report =
+      ReplayScenario(*scenario, *plane, service->schedule()).MoveValueOrDie();
 
-  const FeedService::Metrics drive_metrics = drive_service->GetMetrics();
-  const FeedService::Metrics replay_metrics = replay_service->GetMetrics();
-  EXPECT_EQ(drive_metrics.shares, replay_metrics.shares);
-  EXPECT_EQ(drive_metrics.queries, replay_metrics.queries);
-  EXPECT_EQ(drive_metrics.messages_per_request,
-            replay_metrics.messages_per_request);  // bitwise
-  EXPECT_EQ(drive_metrics.replans, replay_metrics.replans);
-  EXPECT_EQ(replay_report.shares, drive_metrics.shares);
-  EXPECT_EQ(replay_report.queries, drive_metrics.queries);
-  EXPECT_GT(drive_report.client.requests(), 0u);
+  EXPECT_EQ(service_report.shares, plane_report.shares);
+  EXPECT_EQ(service_report.queries, plane_report.queries);
+  EXPECT_EQ(service_report.shares + service_report.queries, 5000u);
+  const FeedService::Metrics metrics = service->GetMetrics();
+  EXPECT_EQ(metrics.replans, 1u);  // served by the plan the plane copied
+  EXPECT_EQ(metrics.messages_per_request,
+            plane->client().metrics().MessagesPerRequest());  // bitwise
+  ASSERT_EQ(service_report.epochs.size(), plane_report.epochs.size());
+  for (size_t e = 0; e < plane_report.epochs.size(); ++e) {
+    EXPECT_EQ(service_report.epochs[e].true_cost, plane_report.epochs[e].true_cost);
+  }
 
-  // The serving planes hold identical feeds afterwards.
-  for (NodeId u = 0; u < 25; ++u) {
-    std::vector<EventTuple> a = drive_service->QueryStream(u).MoveValueOrDie();
-    std::vector<EventTuple> b = replay_service->QueryStream(u).MoveValueOrDie();
+  Prototype* served = service->ServingPlane().MoveValueOrDie();
+  EXPECT_EQ(served->PerServerQueryLoad(), plane->PerServerQueryLoad());
+  EXPECT_EQ(served->PerServerUpdateLoad(), plane->PerServerUpdateLoad());
+
+  // Both planes hold identical feeds afterwards, for every user.
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    std::vector<EventTuple> a = service->QueryStream(u).MoveValueOrDie();
+    std::vector<EventTuple> b = plane->QueryStream(u);
     ASSERT_EQ(a.size(), b.size()) << "user " << u;
     for (size_t i = 0; i < a.size(); ++i) {
       EXPECT_EQ(a[i].producer, b[i].producer);
       EXPECT_EQ(a[i].event_id, b[i].event_id);
     }
   }
+}
+
+// A bare plane serves a fixed graph on one process: scenarios that script
+// churn or shard events are rejected, as is a scenario built for another
+// graph.
+TEST(ScenarioDriveTest, BarePlaneRejectsChurnShardEventsAndWrongGraph) {
+  Graph g = MakeFlickrLike(200, 4).ValueOrDie();
+  Workload w = GenerateWorkload(g, {.min_rate = 0.05}).ValueOrDie();
+  Schedule schedule = MakePlanner("hybrid").ValueOrDie()->Plan(g, w).MoveValueOrDie().schedule;
+  auto plane = Prototype::Create(g, schedule, PrototypeOptions{}).MoveValueOrDie();
+
+  ScenarioOptions scenario_options;
+  scenario_options.num_requests = 2000;
+  for (const char* name : {"follow-storm", "shard-failure"}) {
+    auto scenario = MakeScenario(name, g, w, scenario_options).MoveValueOrDie();
+    EXPECT_TRUE(ReplayScenario(*scenario, *plane, schedule).status().IsInvalidArgument())
+        << name;
+  }
+  Graph other = MakeFlickrLike(150, 4).ValueOrDie();
+  auto mismatched = MakeScenario("stationary", other, scenario_options).MoveValueOrDie();
+  EXPECT_TRUE(
+      ReplayScenario(*mismatched, *plane, schedule).status().IsInvalidArgument());
 }
 
 TEST(ScenarioDriveTest, ReplayIsDeterministicAcrossReruns) {

@@ -1,5 +1,5 @@
 // Scenario engine: registry surface, stream determinism, epoch accounting,
-// stationary parity with the workload driver's sampling, and churn-op
+// stationary sampling against a reference draw loop, and churn-op
 // coherence for every registered scenario family.
 
 #include <gtest/gtest.h>
@@ -129,11 +129,11 @@ TEST(ScenarioTest, StreamsAreTimeOrderedWithExactRequestCounts) {
   }
 }
 
-// The stationary scenario must sample requests exactly like the stationary
-// workload driver: one Bernoulli on the share fraction, then one alias-table
-// draw, from Rng(seed) — this is what makes replay bit-identical to
-// FeedService::Drive (scenario_drive_test checks the end-to-end half).
-TEST(ScenarioTest, StationarySamplingMatchesWorkloadDriverDraws) {
+// The stationary scenario must sample requests as the paper's cost model
+// assumes, draw for draw against this reference loop: one Bernoulli on the
+// share fraction, then one alias-table draw, from Rng(seed). Every figure
+// that replays it (Figs. 6, 8, 14) depends on this order staying fixed.
+TEST(ScenarioTest, StationarySamplingMatchesReferenceDraws) {
   Graph g = MakeFlickrLike(400, 9).ValueOrDie();
   Workload w = GenerateWorkload(g, {.min_rate = 0.01}).ValueOrDie();
   ScenarioOptions options = SmallRun();

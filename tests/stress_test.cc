@@ -68,12 +68,15 @@ TEST_P(FamilyStressTest, ServingStackAuditsClean) {
   opt.num_servers = 8;
   opt.view_capacity = 0;
   auto proto = Prototype::Create(g, pn.schedule, opt).MoveValueOrDie();
-  DriverOptions d;
-  d.num_requests = 1500;
-  d.audit_every = 10;
-  d.seed = 11;
-  auto report = RunWorkloadDriver(*proto, w, d).ValueOrDie();
-  EXPECT_GT(report.audited_queries, 0u) << family;
+  auto scenario =
+      MakeScenario("stationary", g, w, {.num_requests = 1500, .seed = 11})
+          .MoveValueOrDie();
+  size_t audited = 0;
+  ReplayOptions options;
+  options.on_epoch_close = AuditPlaneAtEpochClose(*proto, 8, &audited);
+  ASSERT_TRUE(ReplayScenario(*scenario, *proto, pn.schedule, options).ok())
+      << family;
+  EXPECT_GT(audited, 0u) << family;
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -41,7 +41,6 @@
 #include "scenario/drift.h"
 #include "scenario/replay.h"
 #include "scenario/scenario.h"
-#include "store/concurrent_driver.h"
 #include "store/partitioner.h"
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -107,12 +106,14 @@ constexpr CommandDoc kCommands[] = {
      "            [--rebalance 0|1] [--move-budget N]\n"
      "            [--imbalance-threshold X]",
      "--partitioner list shows the\n"
-     " placement registry; T > 1 drives\n"
-     " the router from T concurrent\n"
-     " clients; --data-dir enables WAL +\n"
-     " snapshot persistence; --rebalance\n"
-     " drives in chunks and runs the\n"
-     " elastic rebalancer between them"},
+     " placement registry; replays the\n"
+     " stationary scenario; T > 1 adds\n"
+     " T-1 concurrent load threads;\n"
+     " --data-dir enables WAL + snapshot\n"
+     " persistence; --rebalance splits\n"
+     " the run into 12 epochs and runs\n"
+     " the elastic rebalancer at every\n"
+     " epoch close"},
     {"replay",
      "--graph FILE --scenario NAME [--planner NAME]\n"
      "            [--policy never|every-N|drift] [--shards N]\n"
@@ -291,6 +292,20 @@ Status FinishTrace(const Args& args, const obs::TraceLog& trace) {
   return Status::OK();
 }
 
+// The paper's stationary request mix over `g` at `w`'s rates: --requests
+// ops (default `default_requests`) from --seed, split into `epochs` epochs.
+Result<std::unique_ptr<Scenario>> StationaryFromArgs(const Args& args,
+                                                     const Graph& g, Workload w,
+                                                     size_t default_requests,
+                                                     size_t epochs = 1) {
+  ScenarioOptions options;
+  options.num_requests =
+      static_cast<size_t>(args.Int("requests", static_cast<int64_t>(default_requests)));
+  options.seed = static_cast<uint64_t>(args.Int("seed", 42));
+  options.epochs = epochs;
+  return MakeScenario("stationary", g, std::move(w), options);
+}
+
 // --stats: dump the metrics registries after the run.
 void MaybePrintStats(const Args& args, const ClusterService& cluster) {
   if (!args.Flag("stats")) return;
@@ -445,12 +460,20 @@ Status CmdEvaluate(const Args& args) {
   popt.num_servers = servers;
   PIGGY_ASSIGN_OR_RETURN(std::unique_ptr<Prototype> proto,
                          Prototype::Create(g, schedule, popt));
-  DriverOptions d;
-  d.num_requests = static_cast<size_t>(args.Int("requests", 50000));
-  d.seed = static_cast<uint64_t>(args.Int("seed", 42));
-  d.audit_every = 1000;
-  PIGGY_ASSIGN_OR_RETURN(DriverReport report, RunWorkloadDriver(*proto, w, d));
-  std::printf("measured: %s\n", report.ToString().c_str());
+  PIGGY_ASSIGN_OR_RETURN(std::unique_ptr<Scenario> scenario,
+                         StationaryFromArgs(args, g, w, 50000, 16));
+  size_t audits = 0;
+  ReplayOptions replay_options;
+  replay_options.on_epoch_close = AuditPlaneAtEpochClose(*proto, 4, &audits);
+  PIGGY_ASSIGN_OR_RETURN(ReplayReport report,
+                         ReplayScenario(*scenario, *proto, schedule, replay_options));
+  // From the replay's rows, which leave the audit queries out.
+  const double throughput =
+      report.messages_per_request > 0
+          ? popt.client_messages_per_second / report.messages_per_request
+          : 0;
+  std::printf("measured: %s throughput=%.0f audits=%zu\n",
+              report.ToString().c_str(), throughput, audits);
   return Status::OK();
 }
 
@@ -469,51 +492,37 @@ Status CmdServe(const Args& args) {
                             .min_rate = 0.01};
   const bool background_replan = args.Int("background-replan", 0) != 0;
   options.shard.background_replan = background_replan;
+  options.audit_every = static_cast<size_t>(args.Int("audit", 1000));
   options.durability = DurabilityFromArgs(args);
   obs::TraceLog trace_log;
-  if (TraceWanted(args)) options.trace = &trace_log;
+  ReplayOptions replay_options;
+  if (TraceWanted(args)) options.trace = replay_options.trace = &trace_log;
   PIGGY_ASSIGN_OR_RETURN(std::unique_ptr<ClusterService> cluster,
                          ClusterService::Create(g, options));
   std::printf("planned: %s\n", cluster->GetMetrics().ToString().c_str());
 
-  const size_t requests = static_cast<size_t>(args.Int("requests", 50000));
-  const uint64_t seed = static_cast<uint64_t>(args.Int("seed", 42));
-  const size_t client_threads =
-      static_cast<size_t>(args.Int("client-threads", 1));
   const bool rebalance = args.Int("rebalance", 0) != 0;
-  // With --rebalance the drive is split into chunks and the coordinator
-  // polls metrics between them — the chunk boundary plays the role the
-  // epoch close plays in `replay`.
-  const size_t chunks = rebalance ? 12 : 1;
+  // With --rebalance the stationary stream runs as 12 epochs and the
+  // coordinator polls metrics at every epoch close, as in `replay`.
+  PIGGY_ASSIGN_OR_RETURN(
+      std::unique_ptr<Scenario> scenario,
+      StationaryFromArgs(args, g, cluster->workload(), 50000, rebalance ? 12 : 1));
+  replay_options.client_threads =
+      static_cast<size_t>(args.Int("client-threads", 1));
+  replay_options.seed = static_cast<uint64_t>(args.Int("seed", 42));
   MigrationCoordinator coordinator(*cluster, RebalanceFromArgs(args));
+  if (rebalance) {
+    replay_options.on_epoch_close = [&](const ReplayEpochRow&) -> Status {
+      return coordinator.Step().status();
+    };
+  }
   if (background_replan) {
-    // Exercise the swap path: the shards replan while the drive below runs.
+    // Exercise the swap path: the shards replan while the replay below runs.
     PIGGY_RETURN_NOT_OK(cluster->StartBackgroundReplan());
   }
-  for (size_t chunk = 0; chunk < chunks; ++chunk) {
-    if (client_threads > 1) {
-      ConcurrentDriverOptions d;
-      d.client_threads = client_threads;
-      d.requests_per_thread =
-          std::max<size_t>(1, requests / (client_threads * chunks));
-      d.seed = seed + chunk;
-      PIGGY_ASSIGN_OR_RETURN(ConcurrentDriveReport report,
-                             RunConcurrentDriver(*cluster, d));
-      if (chunk + 1 == chunks) {
-        std::printf("measured: %s\n", report.ToString().c_str());
-      }
-    } else {
-      DriverOptions d;
-      d.num_requests = std::max<size_t>(1, requests / chunks);
-      d.seed = seed + chunk;
-      d.audit_every = static_cast<size_t>(args.Int("audit", 1000));
-      PIGGY_ASSIGN_OR_RETURN(ClusterDriveReport report, cluster->Drive(d));
-      if (chunk + 1 == chunks) {
-        std::printf("measured: %s\n", report.ToString().c_str());
-      }
-    }
-    if (rebalance) PIGGY_RETURN_NOT_OK(coordinator.Step().status());
-  }
+  PIGGY_ASSIGN_OR_RETURN(ReplayReport report,
+                         ReplayScenario(*scenario, *cluster, replay_options));
+  std::printf("measured: %s\n", report.ToString().c_str());
   if (rebalance) {
     const RebalanceReport& rb = coordinator.report();
     std::printf("rebalance: fired %zu times, moved %zu users in %zu "
@@ -662,10 +671,11 @@ Status CmdRecover(const Args& args) {
       std::printf("validated: %s\n", cluster->GetMetrics().ToString().c_str());
     }
     if (requests > 0) {
-      DriverOptions d;
-      d.num_requests = requests;
-      d.seed = static_cast<uint64_t>(args.Int("seed", 42));
-      PIGGY_ASSIGN_OR_RETURN(ClusterDriveReport report, cluster->Drive(d));
+      PIGGY_ASSIGN_OR_RETURN(Graph g, cluster->GraphSnapshot());
+      PIGGY_ASSIGN_OR_RETURN(std::unique_ptr<Scenario> scenario,
+                             StationaryFromArgs(args, g, cluster->workload(), 0));
+      PIGGY_ASSIGN_OR_RETURN(ReplayReport report,
+                             ReplayScenario(*scenario, *cluster));
       if (!json) std::printf("measured:  %s\n", report.ToString().c_str());
     }
     MaybePrintStats(args, *cluster);
@@ -688,10 +698,12 @@ Status CmdRecover(const Args& args) {
       std::printf("validated: %s\n", service->GetMetrics().ToString().c_str());
     }
     if (requests > 0) {
-      DriverOptions d;
-      d.num_requests = requests;
-      d.seed = static_cast<uint64_t>(args.Int("seed", 42));
-      PIGGY_ASSIGN_OR_RETURN(DriverReport report, service->Drive(d));
+      PIGGY_ASSIGN_OR_RETURN(Graph g, service->graph().Snapshot());
+      PIGGY_ASSIGN_OR_RETURN(
+          std::unique_ptr<Scenario> scenario,
+          StationaryFromArgs(args, g, service->WorkloadSnapshot(), 0));
+      PIGGY_ASSIGN_OR_RETURN(ReplayReport report,
+                             ReplayScenario(*scenario, *service));
       if (!json) std::printf("measured:  %s\n", report.ToString().c_str());
     }
     MaybePrintStats(args, *service);
@@ -766,10 +778,10 @@ Status CmdShards(const Args& args) {
                          ClusterService::Create(g, options));
   const size_t requests = static_cast<size_t>(args.Int("requests", 0));
   if (requests > 0) {
-    DriverOptions d;
-    d.num_requests = requests;
-    d.seed = static_cast<uint64_t>(args.Int("seed", 42));
-    PIGGY_ASSIGN_OR_RETURN(ClusterDriveReport report, cluster->Drive(d));
+    PIGGY_ASSIGN_OR_RETURN(std::unique_ptr<Scenario> scenario,
+                           StationaryFromArgs(args, g, cluster->workload(), 0));
+    PIGGY_ASSIGN_OR_RETURN(ReplayReport report,
+                           ReplayScenario(*scenario, *cluster));
     std::printf("drove: %s\n", report.ToString().c_str());
   }
   const ClusterMetrics m = cluster->GetMetrics();
