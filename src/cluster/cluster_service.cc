@@ -141,16 +141,6 @@ double MaxOverMean(const std::vector<uint64_t>& loads) {
   return static_cast<double>(max) / mean;
 }
 
-double MaxOverMean(const std::vector<double>& loads) {
-  if (loads.empty()) return 0;
-  double total = 0, max = 0;
-  for (double x : loads) {
-    total += x;
-    max = std::max(max, x);
-  }
-  if (total <= 0) return 0;
-  return max / (total / static_cast<double>(loads.size()));
-}
 
 }  // namespace
 
@@ -160,7 +150,7 @@ std::string ClusterMetrics::ToString() const {
       "cross_edges=%zu replicas=%zu replans=%zu (drift=%zu score=%.3f) "
       "repairs=%zu churn=%zu "
       "shares=%lu queries=%lu audited=%lu cross_msgs=%lu+%lu mpr=%.2f "
-      "imbalance=%.2f windowed=%.2f migrations=%zu (moved=%zu)",
+      "imbalance=%.2f migrations=%zu (moved=%zu)",
       shards, partitioner.c_str(), planner.c_str(), total_cost, intra_cost,
       cross_cost, cross_edges, replicas, replans, drift_replans,
       max_drift_score, repairs, churn_ops,
@@ -168,7 +158,7 @@ std::string ClusterMetrics::ToString() const {
       static_cast<unsigned long>(audited_queries),
       static_cast<unsigned long>(cross_update_messages),
       static_cast<unsigned long>(cross_query_messages), messages_per_request,
-      imbalance, windowed_imbalance, migrations, migrated_users);
+      imbalance, migrations, migrated_users);
 }
 
 ClusterService::ClusterService(ClusterOptions options, ShardMap map,
@@ -179,17 +169,12 @@ ClusterService::ClusterService(ClusterOptions options, ShardMap map,
       feed_size_(feed_size),
       cross_(map_.num_shards(), feed_size),
       producer_seqs_(map_.num_nodes()),
-      per_user_requests_(map_.num_nodes()),
-      per_user_served_(map_.num_nodes()) {
+      per_user_load_(map_.num_nodes()) {
   down_.assign(map_.num_shards(), 0);
   shard_gen_.assign(map_.num_shards(), 0);
-  window_ema_.assign(map_.num_shards(), 0.0);
-  window_last_.assign(map_.num_shards(), 0);
-  window_send_ema_.assign(map_.num_shards(), 0.0);
-  window_last_sends_.assign(map_.num_shards(), 0);
   // Register the router counters once; the hot path records through the
-  // cached pointers. Per-user vectors stay raw atomics — a striped Counter
-  // is 16 cache lines, far too heavy at num_nodes granularity.
+  // cached pointers. The per-user vector stays raw atomics — a striped
+  // Counter is 16 cache lines, far too heavy at num_nodes granularity.
   shares_ = &registry_.GetCounter("cluster.shares");
   queries_ = &registry_.GetCounter("cluster.queries");
   audited_queries_ = &registry_.GetCounter("cluster.audited_queries");
@@ -584,14 +569,11 @@ Status ClusterService::Share(NodeId u) {
     if (history.size() > feed_size_) history.erase(history.begin());
     const size_t fanout = cross_.Publish(u, seq);
     per_shard_requests_[s]->Add();
-    per_user_requests_[u].fetch_add(1, std::memory_order_relaxed);
-    if (fanout > 0) {
-      // Sending the batched fan-out is work on the producer's shard (the
-      // receiving shards are charged inside Publish) — and it follows the
-      // producer when it migrates, so it counts toward the user's load too.
-      per_shard_fanout_[s]->Add(fanout);
-      per_user_served_[u].fetch_add(fanout, std::memory_order_relaxed);
-    }
+    // Sending the batched fan-out is work on the producer's shard (the
+    // receiving shards are charged inside Publish) — and it follows the
+    // producer when it migrates, so it counts toward the user's load too.
+    per_user_load_[u].fetch_add(1 + fanout, std::memory_order_relaxed);
+    if (fanout > 0) per_shard_fanout_[s]->Add(fanout);
     shares_->Add();
   }
   shares_in_flight_.fetch_sub(1, std::memory_order_seq_cst);
@@ -623,7 +605,7 @@ Result<std::vector<EventTuple>> ClusterService::QueryStream(NodeId u) {
   PIGGY_ASSIGN_OR_RETURN(std::vector<EventTuple> local,
                          shards_[s].service->QueryStream(map_.LocalId(u)));
   per_shard_requests_[s]->Add();
-  per_user_requests_[u].fetch_add(1, std::memory_order_relaxed);
+  per_user_load_[u].fetch_add(1, std::memory_order_relaxed);
   queries_->Add();
 
   // Bounded newest-k merge over sources that are each already sorted (see
@@ -647,7 +629,7 @@ Result<std::vector<EventTuple>> ClusterService::QueryStream(NodeId u) {
     for (NodeId producer : cross_.PullProducers(u, remote)) {
       // Serving this pull is work on the *producer's* shard — attribute it
       // to the producer so PerUserLoad follows the work when it moves.
-      per_user_served_[producer].fetch_add(1, std::memory_order_relaxed);
+      per_user_load_[producer].fetch_add(1, std::memory_order_relaxed);
       std::lock_guard<std::mutex> stripe(StripeFor(producer));
       merge.OfferAscending(producer_seqs_[producer], producer);
     }
@@ -1232,18 +1214,9 @@ Status ClusterService::MigrateUsers(const std::vector<UserMove>& moves) {
 }
 
 std::vector<uint64_t> ClusterService::PerUserLoad() const {
-  std::vector<uint64_t> out(per_user_requests_.size());
+  std::vector<uint64_t> out(per_user_load_.size());
   for (size_t u = 0; u < out.size(); ++u) {
-    out[u] = per_user_requests_[u].load(std::memory_order_relaxed) +
-             per_user_served_[u].load(std::memory_order_relaxed);
-  }
-  return out;
-}
-
-std::vector<uint64_t> ClusterService::PerUserRequests() const {
-  std::vector<uint64_t> out(per_user_requests_.size());
-  for (size_t u = 0; u < out.size(); ++u) {
-    out[u] = per_user_requests_[u].load(std::memory_order_relaxed);
+    out[u] = per_user_load_[u].load(std::memory_order_relaxed);
   }
   return out;
 }
@@ -1306,18 +1279,6 @@ Status ClusterService::WaitForBackgroundReplan() {
   return first;
 }
 
-double ClusterService::ShardMessages() const {
-  // Exact despite going through the per-request ratio: a shard with zero
-  // requests has zero client messages.
-  double total = 0;
-  for (const Shard& shard : shards_) {
-    if (shard.service == nullptr) continue;  // killed shard
-    const FeedService::Metrics sm = shard.service->GetMetrics();
-    total += sm.messages_per_request * static_cast<double>(sm.shares + sm.queries);
-  }
-  return total;
-}
-
 std::pair<double, double> ClusterService::CostsUnder(const Workload& truth) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
   double intra = 0;
@@ -1357,70 +1318,21 @@ ClusterMetrics ClusterService::GetMetrics() const {
   // Work landing on a shard = requests routed to it + replica updates written
   // into it + pull batches it served for remote consumers + fan-out batches
   // its own producers sent.
+  m.per_shard_sends.resize(per_shard_fanout_.size());
   m.per_shard_work.resize(m.per_shard_requests.size());
   for (size_t s = 0; s < m.per_shard_requests.size(); ++s) {
+    m.per_shard_sends[s] = per_shard_fanout_[s]->Value();
     m.per_shard_work[s] = m.per_shard_requests[s] +
                           m.per_shard_cross_updates[s] +
-                          m.per_shard_cross_queries[s] +
-                          per_shard_fanout_[s]->Value();
+                          m.per_shard_cross_queries[s] + m.per_shard_sends[s];
   }
   m.migrations = migrations_->Value();
   m.migrated_users = migrated_users_->Value();
   m.recovery = recovery_stats_;
 
-  // Fold the per-shard work deltas since the last poll into the EMA view.
-  // Idle polls (a probe and a rebalance trigger reading metrics back to
-  // back) leave the window untouched so they cannot wash a hot shard out.
-  {
-    std::lock_guard<std::mutex> wlock(window_mu_);
-    uint64_t total_delta = 0;
-    for (size_t s = 0; s < m.per_shard_work.size(); ++s) {
-      total_delta += m.per_shard_work[s] - window_last_[s];
-    }
-    if (total_delta > 0) {
-      constexpr double kAlpha = 0.6;  // weight of the newest window
-      for (size_t s = 0; s < m.per_shard_work.size(); ++s) {
-        const double delta =
-            static_cast<double>(m.per_shard_work[s] - window_last_[s]);
-        window_ema_[s] = kAlpha * delta + (1 - kAlpha) * window_ema_[s];
-        window_last_[s] = m.per_shard_work[s];
-      }
-      // Same cadence for the chatter signal: cross messages per routed
-      // request over this window, EMA-smoothed.
-      const uint64_t cross_now =
-          m.cross_update_messages + m.cross_query_messages;
-      uint64_t requests_now = 0;
-      for (uint64_t r : m.per_shard_requests) requests_now += r;
-      const uint64_t req_delta = requests_now - window_last_requests_;
-      if (req_delta > 0) {
-        const double rate = static_cast<double>(cross_now - window_last_cross_) /
-                            static_cast<double>(req_delta);
-        window_cross_rate_ = kAlpha * rate + (1 - kAlpha) * window_cross_rate_;
-      }
-      // Advance the baselines even on a request-less window: initial
-      // replication and migration rebuilds emit state-transfer messages with
-      // no requests attached, and they must not be billed to the next
-      // window's rate.
-      window_last_cross_ = cross_now;
-      window_last_requests_ = requests_now;
-      // Where the batched sends originate, same cadence: a celebrity's home
-      // shard stands out here long before (or without) any work imbalance.
-      for (size_t s = 0; s < window_send_ema_.size(); ++s) {
-        const uint64_t sends = per_shard_fanout_[s]->Value();
-        const double send_delta =
-            static_cast<double>(sends - window_last_sends_[s]);
-        window_send_ema_[s] =
-            kAlpha * send_delta + (1 - kAlpha) * window_send_ema_[s];
-        window_last_sends_[s] = sends;
-      }
-    }
-    m.per_shard_window = window_ema_;
-    m.windowed_cross_rate = window_cross_rate_;
-    m.per_shard_send_window = window_send_ema_;
-    m.windowed_send_imbalance = MaxOverMean(window_send_ema_);
-  }
-  m.windowed_imbalance = MaxOverMean(m.per_shard_window);
-
+  // Messages issued by the shard-local clients; exact despite going through
+  // the per-request ratio (a shard with zero requests sent zero messages).
+  double shard_messages = 0;
   for (const Shard& shard : shards_) {
     if (shard.service == nullptr) continue;  // killed shard
     const FeedService::Metrics sm = shard.service->GetMetrics();
@@ -1431,6 +1343,8 @@ ClusterMetrics ClusterService::GetMetrics() const {
     m.max_drift_score = std::max(m.max_drift_score, sm.drift_score);
     m.repairs += sm.repairs;
     m.interest_bytes += sm.interest_bytes;
+    shard_messages +=
+        sm.messages_per_request * static_cast<double>(sm.shares + sm.queries);
   }
   if (graph_.num_edges() > 0) {
     m.interest_bytes_per_edge = static_cast<double>(m.interest_bytes) /
@@ -1442,20 +1356,10 @@ ClusterMetrics ClusterService::GetMetrics() const {
     // Lifetime average, so the one-off backfill messages of setup and
     // cross-shard Follows are included.
     m.messages_per_request =
-        (ShardMessages() +
+        (shard_messages +
          static_cast<double>(m.cross_update_messages + m.cross_query_messages)) /
         static_cast<double>(requests);
   }
-  // Poll-time gauges: the trigger-facing signals, visible in `piggy_tool
-  // stats` and registry JSON dumps next to the raw counters.
-  registry_.GetGauge("cluster.imbalance").Set(m.imbalance);
-  registry_.GetGauge("cluster.windowed_imbalance").Set(m.windowed_imbalance);
-  registry_.GetGauge("cluster.windowed_send_imbalance")
-      .Set(m.windowed_send_imbalance);
-  registry_.GetGauge("cluster.windowed_cross_rate").Set(m.windowed_cross_rate);
-  registry_.GetGauge("cluster.total_cost").Set(m.total_cost);
-  registry_.GetGauge("cluster.interest_bytes_per_edge")
-      .Set(m.interest_bytes_per_edge);
   return m;
 }
 

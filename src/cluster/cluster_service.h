@@ -140,26 +140,9 @@ struct ClusterMetrics {
   /// shard with every remote query — per-shard requests alone would miss
   /// that.
   std::vector<uint64_t> per_shard_work;
-  /// Recency-weighted per-shard load: an EMA over the per-shard *work* deltas
-  /// between successive GetMetrics calls, so a shard that went hot *recently*
-  /// stands out even when lifetime counters say the cluster is even. Window
-  /// length is therefore the caller's metrics cadence (the replay loop polls
-  /// once per epoch); back-to-back polls with no traffic in between do not
-  /// decay the view.
-  std::vector<double> per_shard_window;
-  double windowed_imbalance = 0;  ///< max/mean of per_shard_window
-  /// EMA of cross-shard messages per routed request over the same polling
-  /// windows — the trigger's second watch signal: a placement can be balanced
-  /// yet pay for it in chatter.
-  double windowed_cross_rate = 0;
-  /// EMA'd per-shard fan-out *sends* over the same polling windows: where
-  /// the batched cross-shard update traffic originates. A celebrity whose
-  /// audience spans every shard barely moves the work imbalance (its home
-  /// shard may have been light, and every other shard receives the fan-out
-  /// evenly), but the sends from its home shard multiply — a trigger
-  /// watching each shard against its own history sees it.
-  std::vector<double> per_shard_send_window;
-  double windowed_send_imbalance = 1;  ///< max/mean of per_shard_send_window
+  /// Batched fan-out messages sent by each shard's producers (lifetime): where
+  /// the cross-shard update traffic originates.
+  std::vector<uint64_t> per_shard_sends;
   std::vector<size_t> per_shard_replicas;  ///< replicas hosted per shard
   std::vector<uint64_t> per_shard_cross_updates;  ///< cross msgs into shard
   std::vector<uint64_t> per_shard_cross_queries;  ///< cross pulls from shard
@@ -273,11 +256,6 @@ class ClusterService {
   /// FailedPrecondition if another migration is in flight.
   Status MigrateUsers(const std::vector<UserMove>& moves);
 
-  /// Lifetime requests (shares + queries) routed per user — the observed
-  /// per-user load a rebalance planner weighs move candidates by.
-  /// Thread-safe.
-  std::vector<uint64_t> PerUserRequests() const;
-
   /// Lifetime work attributed per user: routed requests, plus the remote
   /// pull batches served *for* the user's events, plus the fan-out batches
   /// sent for its shares — the work that lands on the user's own shard and
@@ -304,6 +282,8 @@ class ClusterService {
   /// the first shard error, if any.
   Status WaitForBackgroundReplan();
 
+  /// A pure read of the lifetime counters and current costs: polling it
+  /// changes nothing (windowed views live in RebalanceTrigger).
   ClusterMetrics GetMetrics() const;
 
   /// Re-checks every shard schedule (Theorem 1) and the router's cross-edge
@@ -331,7 +311,8 @@ class ClusterService {
   /// Cluster-level metrics registry: router counters ("cluster.shares",
   /// "cluster.shard00.requests", ...) and recovery counters live here; the
   /// per-shard serving registries are reachable via shard(i).registry().
-  obs::MetricsRegistry& registry() const { return registry_; }
+  obs::MetricsRegistry& registry() { return registry_; }
+  const obs::MetricsRegistry& registry() const { return registry_; }
 
  private:
   struct Shard {
@@ -367,10 +348,6 @@ class ClusterService {
   /// quiescent. Requires the cluster lock held (shared suffices).
   Status AuditMerged(NodeId u, const std::vector<EventTuple>& stream,
                      const AuditToken& token);
-
-  /// Total batched messages issued by the shard-local clients (cross-shard
-  /// router traffic not included).
-  double ShardMessages() const;
 
   /// Serializes per-producer history + replica mutation and reads.
   std::mutex& StripeFor(NodeId producer) const {
@@ -431,8 +408,8 @@ class ClusterService {
   // Cluster-level metrics. Declared before the cached Counter pointers below
   // so the registry outlives every handle registered from it. Router traffic
   // counters moved off ad-hoc atomics onto the registry: this is the single
-  // source GetMetrics folds and the rebalance trigger reads.
-  mutable obs::MetricsRegistry registry_;
+  // source GetMetrics reads.
+  obs::MetricsRegistry registry_;
   obs::Counter* migrations_ = nullptr;       // completed MigrateUsers batches
   obs::Counter* migrated_users_ = nullptr;   // users moved (lifetime)
   // Recovery work accumulated across Recover() + RestartShard(); written
@@ -470,24 +447,10 @@ class ClusterService {
   // Batched fan-out messages sent by each shard's producers (the sending
   // half of cross-shard update work; the receiving half lives in cross_).
   std::vector<obs::Counter*> per_shard_fanout_;
-  // Observed per-user load (shares + queries), the rebalance planner's move
-  // weights.
-  std::vector<std::atomic<uint64_t>> per_user_requests_;
-  // Remote pull batches served for each producer's events plus fan-out
-  // batches sent for its shares (work on the producer's shard; see
-  // PerUserLoad).
-  std::vector<std::atomic<uint64_t>> per_user_served_;
-  // Recency-weighted per-shard load (see ClusterMetrics::per_shard_window):
-  // folded on GetMetrics under its own small mutex so concurrent metric polls
-  // stay safe on the shared-lock path.
-  mutable std::mutex window_mu_;
-  mutable std::vector<double> window_ema_;
-  mutable std::vector<uint64_t> window_last_;
-  mutable uint64_t window_last_cross_ = 0;
-  mutable uint64_t window_last_requests_ = 0;
-  mutable double window_cross_rate_ = 0;
-  mutable std::vector<double> window_send_ema_;
-  mutable std::vector<uint64_t> window_last_sends_;
+  // Observed per-user load (see PerUserLoad), the rebalance planner's move
+  // weights: routed requests plus the fan-out and pull batches served for
+  // the user's events.
+  std::vector<std::atomic<uint64_t>> per_user_load_;
   obs::Counter* shares_ = nullptr;
   obs::Counter* queries_ = nullptr;
   obs::Counter* audited_queries_ = nullptr;

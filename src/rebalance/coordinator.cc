@@ -20,8 +20,7 @@ Result<bool> MigrationCoordinator::Step() {
   }
   last_user_load_ = std::move(current);
 
-  const ClusterMetrics metrics = cluster_.GetMetrics();
-  if (!trigger_.Observe(metrics)) return false;
+  if (!trigger_.Observe(cluster_.GetMetrics())) return false;
 
   // The fire is worth a trace event even if the planner then finds nothing
   // to move — a fired-but-empty tick explains "why did nothing happen".
@@ -29,11 +28,12 @@ Result<bool> MigrationCoordinator::Step() {
     trace->Instant(
         obs::TraceEventKind::kTriggerFire, /*shard=*/-1,
         {{"reason", trigger_.last_fire_reason()},
-         {"windowed_imbalance", StrFormat("%.3f", metrics.windowed_imbalance)},
+         {"windowed_imbalance",
+          StrFormat("%.3f", trigger_.windowed_imbalance())},
          {"windowed_cross_rate",
-          StrFormat("%.4f", metrics.windowed_cross_rate)},
+          StrFormat("%.4f", trigger_.windowed_cross_rate())},
          {"windowed_send_imbalance",
-          StrFormat("%.3f", metrics.windowed_send_imbalance)}});
+          StrFormat("%.3f", trigger_.windowed_send_imbalance())}});
   }
   std::string fire_counter = "rebalance.trigger_fires.";
   fire_counter += trigger_.last_fire_reason();

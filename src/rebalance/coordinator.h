@@ -1,8 +1,9 @@
 // MigrationCoordinator: closes the detect -> plan -> migrate loop on a live
 // ClusterService.
 //
-// Each Step() reads the cluster's windowed load metrics, asks the
-// RebalanceTrigger whether the imbalance has held long enough to act, plans a
+// Each Step() hands the cluster's lifetime load counters to the
+// RebalanceTrigger, which folds them into its windows and says whether the
+// imbalance has held long enough to act; the coordinator then plans a
 // bounded delta assignment over the observed per-user load since the last
 // step, and executes it as a sequence of batched ClusterService::MigrateUsers
 // calls — each batch a complete snapshot/catch-up/cutover cycle, so serving
@@ -70,8 +71,8 @@ class MigrationCoordinator {
   ClusterService& cluster_;
   RebalanceOptions options_;
   RebalanceTrigger trigger_;
-  // Per-user load counters (requests + pull batches served for the user's
-  // events) at the last step; the delta is the observed load the planner
+  // Per-user load counters (requests + fan-out and pull batches served for
+  // the user's events) at the last step; the delta is the observed load the planner
   // weighs moves by (one step = one load window).
   std::vector<uint64_t> last_user_load_;
   RebalanceReport report_;

@@ -74,7 +74,7 @@ struct MovePlan {
 };
 
 /// Plans a bounded set of moves draining every shard whose observed load
-/// (`user_load`, e.g. ClusterService::PerUserRequests deltas) exceeds
+/// (`user_load`, e.g. ClusterService::PerUserLoad deltas) exceeds
 /// (1 + balance_slack) x mean. Candidates leave hottest-shard-first and
 /// heaviest-user-first; each lands on the shard maximizing rate-weighted
 /// neighbor affinity x remaining headroom, and is only accepted if the move

@@ -1,22 +1,24 @@
 // RebalanceTrigger: decides WHEN the elastic cluster should move users.
 //
-// The trigger watches the cluster's windowed imbalance (see
-// ClusterMetrics::per_shard_window — an EMA over per-shard work deltas, so a
-// shard that went hot recently stands out even when lifetime counters look
-// even) and, optionally, the windowed cross-shard message rate climbing
-// above its own low-water mark, and fires when either signal holds hot for
-// a configurable number of consecutive observations. A cooldown then
-// suppresses
-// re-firing so one hotspot triggers one migration, not one per poll while the
-// just-moved load drains out of the EMA.
+// The trigger owns the cluster's load windows: each Observe folds the deltas
+// of the lifetime counters in ClusterMetrics since the previous Observe into
+// EMAs (per-shard work, per-shard fan-out sends, cross-shard messages per
+// routed request), so a shard that went hot recently stands out even when
+// lifetime counters look even. It fires when the windowed imbalance, or
+// optionally a rate watch climbing above its own low-water mark, holds hot
+// for a configurable number of consecutive observations. A cooldown then
+// suppresses re-firing so one hotspot triggers one migration, not one per
+// observation while the just-moved load drains out of the EMA.
 //
-// The trigger is a pure observer: it never talks to the cluster. The
-// MigrationCoordinator (coordinator.h) feeds it metrics and acts on the
-// verdict.
+// The trigger is a pure observer: it never talks to the cluster, and the
+// window length is the caller's Observe cadence — GetMetrics reads elsewhere
+// do not move it. The MigrationCoordinator (coordinator.h) feeds it metrics
+// and acts on the verdict.
 
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -38,9 +40,9 @@ struct RebalanceTriggerOptions {
   /// while per-shard load stays flat. 0 disables the watch. Either signal
   /// going hot feeds the same streak.
   double cross_rate_rise = 0;
-  /// Also fire when any single shard's windowed fan-out send rate
-  /// (ClusterMetrics::per_shard_send_window) has risen this far above its
-  /// own low-water mark AND that shard now sends more than the cluster
+  /// Also fire when any single shard's windowed fan-out send rate (an EMA
+  /// over ClusterMetrics::per_shard_sends deltas) has risen this far above
+  /// its own low-water mark AND that shard now sends more than the cluster
   /// mean. This is the celebrity watch: a ramping account barely moves the
   /// work imbalance (its home shard may have been light, and every other
   /// shard receives the fan-out evenly), but the sends *from* its home
@@ -61,61 +63,22 @@ struct RebalanceTriggerOptions {
   size_t cooldown_windows = 2;
 };
 
-/// \brief Threshold-with-hysteresis detector over cluster imbalance.
+/// \brief Threshold-with-hysteresis detector over windowed cluster load.
 class RebalanceTrigger {
  public:
   explicit RebalanceTrigger(const RebalanceTriggerOptions& options)
       : options_(options) {}
 
-  /// Observes one metrics poll; returns true when a rebalance should run
-  /// now. The poll counts as hot when the windowed imbalance is over its
-  /// threshold or the windowed cross-message rate has climbed
-  /// `cross_rate_rise` above the lowest rate seen since warm-up.
-  bool Observe(const ClusterMetrics& m) {
-    if (warmup_seen_ < options_.warmup_windows) {
-      ++warmup_seen_;
-      return false;
-    }
-    // Remember which watch tripped: when several are hot at once the report
-    // lists the imbalance watch first (it is the primary signal; the rate
-    // watches exist to catch what it misses).
-    const char* reason = nullptr;
-    bool hot = m.windowed_imbalance >= options_.imbalance_threshold;
-    if (hot) reason = "imbalance";
-    if (options_.send_rise > 0 && !m.per_shard_send_window.empty()) {
-      const size_t shards = m.per_shard_send_window.size();
-      send_floor_.resize(shards, 0);
-      double mean = 0;
-      for (double v : m.per_shard_send_window) mean += v;
-      mean /= static_cast<double>(shards);
-      for (size_t s = 0; s < shards; ++s) {
-        const double v = m.per_shard_send_window[s];
-        if (v <= 0) continue;
-        if (send_floor_[s] == 0 || v < send_floor_[s]) send_floor_[s] = v;
-        if (v >= mean && v >= send_floor_[s] * (1.0 + options_.send_rise)) {
-          hot = true;
-          if (reason == nullptr) reason = "send_rise";
-        }
-      }
-    }
-    if (options_.cross_rate_rise > 0 && m.windowed_cross_rate > 0) {
-      if (rate_floor_ == 0 || m.windowed_cross_rate < rate_floor_) {
-        rate_floor_ = m.windowed_cross_rate;
-      }
-      if (m.windowed_cross_rate >=
-          rate_floor_ * (1.0 + options_.cross_rate_rise)) {
-        hot = true;
-        if (reason == nullptr) reason = "cross_rate";
-      }
-    }
-    const bool fired = ObserveHot(hot);
-    if (fired) last_fire_reason_ = reason != nullptr ? reason : "unknown";
-    return fired;
-  }
+  /// Folds the lifetime counters' deltas since the previous Observe into the
+  /// windows, then returns true when a rebalance should run now. The
+  /// observation counts as hot when the windowed imbalance is over its
+  /// threshold or a rate watch has climbed above its low-water mark. The
+  /// baselines start at zero, so the first window also carries setup work.
+  bool Observe(const ClusterMetrics& m);
 
   /// Same, on a raw imbalance value (unit-testable without a cluster).
-  /// Skips the warm-up gate and the rate watch: this is the bare streak
-  /// machine.
+  /// Skips the windows, the warm-up gate and the rate watches: this is the
+  /// bare streak machine.
   bool ObserveValue(double imbalance) {
     const bool fired = ObserveHot(imbalance >= options_.imbalance_threshold);
     if (fired) last_fire_reason_ = "imbalance";
@@ -129,7 +92,21 @@ class RebalanceTrigger {
   /// first fire.
   const std::string& last_fire_reason() const { return last_fire_reason_; }
 
+  /// Max/mean of the per-shard work EMA (ClusterMetrics::per_shard_work
+  /// deltas per Observe window). Windows in which no work moved are not
+  /// folded, so back-to-back observations cannot wash a hot shard out.
+  double windowed_imbalance() const;
+  /// Max/mean of the per-shard fan-out send EMA (per_shard_sends deltas):
+  /// where the batched cross-shard update traffic originates.
+  double windowed_send_imbalance() const;
+  /// EMA of cross-shard messages per routed request: a placement can be
+  /// balanced yet pay for it in chatter.
+  double windowed_cross_rate() const { return cross_rate_; }
+
  private:
+  // Folds one window of counter deltas into the EMAs.
+  void Fold(const ClusterMetrics& m);
+
   // The streak machine behind both entry points: consecutive hot
   // observations fire once, then a cooldown suppresses re-firing.
   bool ObserveHot(bool hot);
@@ -141,6 +118,15 @@ class RebalanceTrigger {
   double rate_floor_ = 0;   // low-water mark of the windowed cross rate
   std::vector<double> send_floor_;  // per-shard send-rate low-water marks
   std::string last_fire_reason_;    // watch behind the most recent fire
+
+  // Windows: EMAs and the lifetime counter values at the last fold.
+  std::vector<double> work_ema_;
+  std::vector<double> send_ema_;
+  double cross_rate_ = 0;
+  std::vector<uint64_t> last_work_;
+  std::vector<uint64_t> last_sends_;
+  uint64_t last_cross_ = 0;
+  uint64_t last_requests_ = 0;
 };
 
 }  // namespace piggy

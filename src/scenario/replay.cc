@@ -308,6 +308,11 @@ Result<ReplayReport> ReplayWithAux(Scenario& scenario, ServiceHooks hooks,
     out.aux_requests += r.requests;
     out.unavailable += r.unavailable;
   }
+  // The epochs' messages include the aux traffic, so the run's ratio divides
+  // by every request issued, not only the sequential stream's.
+  const uint64_t requests = out.shares + out.queries + out.aux_requests;
+  out.messages_per_request =
+      requests > 0 ? out.messages / static_cast<double>(requests) : 0;
   return out;
 }
 

@@ -80,6 +80,7 @@ struct ReplayReport {
   uint64_t unfollows = 0;
   double messages = 0;  ///< total serving messages across the run
   double cross_messages = 0;  ///< total batched cross-shard messages (clusters)
+  /// `messages` over every request issued, aux-thread requests included.
   double messages_per_request = 0;
   size_t replans = 0;  ///< total planner runs, including the initial plan
   double wall_seconds = 0;

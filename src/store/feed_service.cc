@@ -63,16 +63,15 @@ struct PlanPhaseTracer {
 
 std::string FeedService::Metrics::ToString() const {
   return StrFormat(
-      "planner=%s replan=%s cost=%.1f ff=%.1f ratio=%.3fx replans=%zu "
+      "planner=%s cost=%.1f ff=%.1f ratio=%.3fx replans=%zu "
       "(bg=%zu drift=%zu score=%.3f) repairs=%zu churn=%zu rebuilds=%zu "
-      "shares=%lu queries=%lu audited=%lu mpr=%.2f throughput=%.0f req/s "
-      "interest=%.2fB/edge",
-      planner.c_str(), replan_policy.c_str(), schedule_cost, hybrid_cost,
+      "shares=%lu queries=%lu audited=%lu mpr=%.2f interest=%.2fB/edge",
+      planner.c_str(), schedule_cost, hybrid_cost,
       ImprovementRatio(hybrid_cost, schedule_cost), replans, background_replans,
       drift_replans, drift_score, repairs, churn_ops, serving_rebuilds,
       static_cast<unsigned long>(shares), static_cast<unsigned long>(queries),
       static_cast<unsigned long>(audited_queries), messages_per_request,
-      actual_throughput, interest_bytes_per_edge);
+      interest_bytes_per_edge);
 }
 
 FeedService::FeedService(const Graph& graph, Workload workload,
@@ -85,6 +84,8 @@ FeedService::FeedService(const Graph& graph, Workload workload,
   follow_us_ = &registry_.GetHistogram("feed.follow_us");
   unfollow_us_ = &registry_.GetHistogram("feed.unfollow_us");
   replan_us_ = &registry_.GetHistogram("feed.replan_us", 0.5, 1e9, 96);
+  replans_ = &registry_.GetCounter("feed.replans");
+  background_replans_ = &registry_.GetCounter("feed.background_replans");
   // The durability layer shares this service's registry and trace ring, so
   // one export covers the whole shard (Recover() re-binds the pair it adopts
   // via BindObservability — its ShardDurability is opened before `this`
@@ -273,9 +274,8 @@ Result<std::unique_ptr<FeedService>> FeedService::Recover(
   stats.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
-  service->recovery_stats_ = stats;
-  // Surface the recovery outcome through the registry (piggy_tool stats,
-  // ClusterMetrics) alongside the structured stats.
+  // Surface the recovery outcome through the registry (piggy_tool stats)
+  // alongside the structured stats the caller receives.
   service->registry_.GetCounter("recovery.runs").Add();
   service->registry_.GetCounter("recovery.wal_records").Add(stats.wal_records);
   service->registry_.GetCounter("recovery.snapshot_events")
@@ -340,7 +340,7 @@ Status FeedService::ReplanLocked() {
       plan.final_cost > 0 ? plan.hybrid_cost / plan.final_cost : 1.0;
   edges_at_plan_ = graph_.num_edges();
   if (estimator_ != nullptr) estimator_->OnReplanned();
-  ++replans_;
+  replans_->Add();
   churn_since_plan_ = 0;
   serving_dirty_ = true;
   // An in-flight background plan lost the race; its publish step sees the
@@ -348,7 +348,6 @@ Status FeedService::ReplanLocked() {
   ++plan_epoch_;
   churn_journal_.clear();
   if (replan_us_ != nullptr) replan_us_->Record(replan_timer.Seconds() * 1e6);
-  registry_.GetCounter("feed.replans").Add();
   if (trace != nullptr) {
     trace->Span(obs::TraceEventKind::kReplanCommit, trace_start,
                 options_.trace_shard,
@@ -535,13 +534,11 @@ Status FeedService::BackgroundReplanOnce(bool refresh_workload) {
       plan.final_cost > 0 ? plan.hybrid_cost / plan.final_cost : 1.0;
   edges_at_plan_ = graph_.num_edges();
   if (estimator_ != nullptr) estimator_->OnReplanned();
-  ++replans_;
-  background_replans_.fetch_add(1, std::memory_order_relaxed);
+  replans_->Add();
+  background_replans_->Add();
   ++plan_epoch_;
   churn_since_plan_ = raced_churn;
   if (replan_us_ != nullptr) replan_us_->Record(replan_timer.Seconds() * 1e6);
-  registry_.GetCounter("feed.replans").Add();
-  registry_.GetCounter("feed.background_replans").Add();
   if (trace != nullptr) {
     trace->Span(obs::TraceEventKind::kReplanCommit, trace_start,
                 options_.trace_shard,
@@ -950,12 +947,11 @@ FeedService::Metrics FeedService::GetMetrics() const {
   std::shared_lock<std::shared_mutex> lock(mu_);
   Metrics m;
   m.planner = options_.planner;
-  m.replan_policy = options_.replan.ToString();
   m.schedule_cost =
       ScheduleCost(graph_, workload_, schedule_, ResidualPolicy::kFree);
   m.hybrid_cost = HybridCost(graph_, workload_);
-  m.replans = replans_;
-  m.background_replans = background_replans_.load(std::memory_order_relaxed);
+  m.replans = replans_->Value();
+  m.background_replans = background_replans_->Value();
   m.drift_replans = drift_replans_.load(std::memory_order_relaxed);
   m.drift_score = last_drift_score_.load(std::memory_order_relaxed);
   m.repairs = maintainer_->repairs();
@@ -969,10 +965,6 @@ FeedService::Metrics FeedService::GetMetrics() const {
   m.queries = client.query_requests;
   m.audited_queries = audited_queries_.load(std::memory_order_relaxed);
   m.messages_per_request = client.MessagesPerRequest();
-  m.actual_throughput =
-      m.messages_per_request > 0
-          ? options_.prototype.client_messages_per_second / m.messages_per_request
-          : 0.0;
   if (prototype_ != nullptr) {
     m.interest_bytes = prototype_->client().InterestBytes();
     m.interest_bytes_per_edge =
@@ -981,13 +973,6 @@ FeedService::Metrics FeedService::GetMetrics() const {
                   static_cast<double>(graph_.num_edges())
             : 0.0;
   }
-  // Publish the poll-time figures as gauges so a registry export carries the
-  // cost picture without a separate Metrics call.
-  registry_.GetGauge("feed.schedule_cost").Set(m.schedule_cost);
-  registry_.GetGauge("feed.hybrid_cost").Set(m.hybrid_cost);
-  registry_.GetGauge("feed.drift_score").Set(m.drift_score);
-  registry_.GetGauge("feed.messages_per_request").Set(m.messages_per_request);
-  registry_.GetGauge("feed.interest_bytes").Set(static_cast<double>(m.interest_bytes));
   return m;
 }
 

@@ -190,7 +190,6 @@ class FeedService {
   /// rebuilds.
   struct Metrics {
     std::string planner;          ///< registry name of the planning policy
-    std::string replan_policy;    ///< "never" | "every-N" | "drift"
     double schedule_cost = 0;     ///< current schedule cost on current graph
     double hybrid_cost = 0;       ///< FF baseline cost on current graph
     size_t replans = 0;           ///< full planner runs (incl. the initial)
@@ -204,7 +203,6 @@ class FeedService {
     uint64_t queries = 0;
     uint64_t audited_queries = 0;
     double messages_per_request = 0;
-    double actual_throughput = 0;  ///< modeled req/s per client
     size_t interest_bytes = 0;     ///< resident keep-set bytes (AppClient)
     double interest_bytes_per_edge = 0;  ///< interest_bytes / graph edges
 
@@ -221,10 +219,6 @@ class FeedService {
   /// durability timings, and recovery counters. The reference is stable for
   /// the service's lifetime and safe to read from any thread.
   obs::MetricsRegistry& registry() const { return registry_; }
-
-  /// Stats of the Recover() run that built this service (all-zero when the
-  /// service was created fresh rather than recovered).
-  const RecoveryStats& recovery_stats() const { return recovery_stats_; }
 
   /// (schedule cost, hybrid-baseline cost) of the current schedule/topology
   /// under externally supplied rates, computed under the service lock — the
@@ -332,7 +326,8 @@ class FeedService {
   obs::Histogram* follow_us_ = nullptr;
   obs::Histogram* unfollow_us_ = nullptr;
   obs::Histogram* replan_us_ = nullptr;
-  RecoveryStats recovery_stats_;
+  obs::Counter* replans_ = nullptr;             // "feed.replans"
+  obs::Counter* background_replans_ = nullptr;  // "feed.background_replans"
 
   // WAL + snapshot pair (null when durability is disabled). Appends are
   // internally serialized; rotation happens under mu_ exclusive only.
@@ -390,8 +385,6 @@ class FeedService {
   // Counters that survive serving-plane rebuilds. Guarded by mu_ unless
   // atomic (the atomics are bumped on the shared-lock serving path).
   ClientMetrics accumulated_;
-  size_t replans_ = 0;
-  std::atomic<size_t> background_replans_{0};
   size_t churn_ops_ = 0;
   size_t churn_since_plan_ = 0;
   size_t serving_rebuilds_ = 0;

@@ -301,5 +301,33 @@ TEST(ConcurrentServingTest, ReplayWithAuxLoadThreads) {
   ASSERT_TRUE(service->Validate().ok());
 }
 
+// The epochs' messages include the aux threads' traffic, so the run's
+// msgs/req must divide by their requests too: on a stationary mix the ratio
+// matches the single-threaded one instead of scaling with the thread count.
+TEST(ConcurrentServingTest, ReplayWithAuxCountsAuxRequestsInMessagesPerRequest) {
+  Graph g = TestGraph(300);
+  Workload w = TestWorkload(g);
+  auto run = [&](size_t client_threads) {
+    ScenarioOptions scenario_options;
+    scenario_options.num_requests = 40000;
+    scenario_options.epochs = 4;
+    scenario_options.seed = kSeed;
+    auto scenario =
+        MakeScenario("stationary", g, w, scenario_options).MoveValueOrDie();
+    FeedServiceOptions options;
+    options.prototype.num_servers = 4;
+    auto service = FeedService::Create(g, w, options).MoveValueOrDie();
+    ReplayOptions replay;
+    replay.client_threads = client_threads;
+    return ReplayScenario(*scenario, *service, replay).ValueOrDie();
+  };
+  const ReplayReport single = run(1);
+  const ReplayReport threaded = run(3);
+  ASSERT_GT(single.messages_per_request, 0.0);
+  EXPECT_GT(threaded.aux_requests, 0u);
+  EXPECT_NEAR(threaded.messages_per_request, single.messages_per_request,
+              0.05 * single.messages_per_request);
+}
+
 }  // namespace
 }  // namespace piggy

@@ -215,7 +215,6 @@ TEST(FeedServiceTest, DriveReplaysTheWorkloadWithAudits) {
   EXPECT_EQ(m.shares + m.queries, 2000u);
   EXPECT_EQ(m.audited_queries, m.queries / 25);
   EXPECT_GT(m.audited_queries, 10u);
-  EXPECT_GT(m.actual_throughput, 0.0);
 }
 
 // The facade reports costs consistent with the core cost model, so capacity

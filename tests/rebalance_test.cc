@@ -533,7 +533,8 @@ TEST_F(RebalanceTest, WindowedImbalanceTracksRecentLoad) {
   Graph g = MakeFlickrLike(n, 53).ValueOrDie();
   Workload w = GenerateWorkload(g, {.min_rate = 0.05}).ValueOrDie();
   auto cluster = ClusterService::Create(g, w, MemoryOpts()).MoveValueOrDie();
-  (void)cluster->GetMetrics();  // baseline the window
+  RebalanceTrigger trigger(RebalanceTriggerOptions{});
+  trigger.Observe(cluster->GetMetrics());  // baseline the window
 
   // All traffic on shard 0's users. Queries, not shares: a share's replica
   // writes fan work out to the follower shards, but a query's work stays on
@@ -544,21 +545,66 @@ TEST_F(RebalanceTest, WindowedImbalanceTracksRecentLoad) {
       ASSERT_TRUE(cluster->QueryStream(u).ok());
     }
   }
-  ClusterMetrics hot = cluster->GetMetrics();
-  EXPECT_GT(hot.windowed_imbalance, 1.5);
+  trigger.Observe(cluster->GetMetrics());
+  const double hot = trigger.windowed_imbalance();
+  EXPECT_GT(hot, 1.5);
 
   // Perfectly even traffic: the EMA decays back toward 1.
-  ClusterMetrics cooled = hot;
   for (int round = 0; round < 6; ++round) {
     for (NodeId u = 0; u < n; ++u) ASSERT_TRUE(cluster->QueryStream(u).ok());
-    cooled = cluster->GetMetrics();
+    trigger.Observe(cluster->GetMetrics());
   }
-  EXPECT_LT(cooled.windowed_imbalance, hot.windowed_imbalance);
-  EXPECT_LT(cooled.windowed_imbalance, 1.3);
+  const double cooled = trigger.windowed_imbalance();
+  EXPECT_LT(cooled, hot);
+  EXPECT_LT(cooled, 1.3);
 
-  // Quiet polls do not decay the window (cadence-robust).
-  ClusterMetrics idle = cluster->GetMetrics();
-  EXPECT_DOUBLE_EQ(idle.windowed_imbalance, cooled.windowed_imbalance);
+  // Idle observations do not decay the windows (cadence-robust).
+  const double rate = trigger.windowed_cross_rate();
+  trigger.Observe(cluster->GetMetrics());
+  EXPECT_DOUBLE_EQ(trigger.windowed_imbalance(), cooled);
+  EXPECT_DOUBLE_EQ(trigger.windowed_cross_rate(), rate);
+}
+
+// Reads have no side effects: GetMetrics polls between control-loop steps
+// (a dashboard, a replay probe) must not change what the coordinator decides
+// or how many users it moves.
+TEST_F(RebalanceTest, MetricsPollsDoNotChangeTriggerVerdicts) {
+  struct Outcome {
+    std::vector<bool> verdicts;
+    size_t users_moved = 0;
+  };
+  auto run = [](bool extra_polls) {
+    const size_t n = 200;
+    Graph g = MakeFlickrLike(n, 59).ValueOrDie();
+    Workload w = GenerateWorkload(g, {.min_rate = 0.05}).ValueOrDie();
+    auto cluster = ClusterService::Create(g, w, MemoryOpts()).MoveValueOrDie();
+    RebalanceOptions opts;
+    opts.trigger.imbalance_threshold = 1.3;
+    opts.trigger.consecutive_windows = 2;
+    opts.plan.move_budget = 16;
+    opts.batch_size = 8;
+    MigrationCoordinator coordinator(*cluster, opts);
+    Outcome out;
+    for (int step = 0; step < 12; ++step) {
+      // Shard 0 runs hot in steps 5-8; every user queries otherwise.
+      const bool hot = step >= 5 && step <= 8;
+      for (int third = 0; third < 3; ++third) {
+        for (NodeId u = 0; u < n; ++u) {
+          if (hot && cluster->shard_map().ShardOf(u) != 0) continue;
+          EXPECT_TRUE(cluster->QueryStream(u).ok());
+        }
+        if (extra_polls) (void)cluster->GetMetrics();
+      }
+      out.verdicts.push_back(coordinator.Step().ValueOrDie());
+    }
+    out.users_moved = coordinator.report().users_moved;
+    return out;
+  };
+  const Outcome quiet = run(false);
+  const Outcome polled = run(true);
+  EXPECT_EQ(polled.verdicts, quiet.verdicts);
+  EXPECT_EQ(polled.users_moved, quiet.users_moved);
+  EXPECT_GT(quiet.users_moved, 0u);
 }
 
 TEST_F(RebalanceTest, CoordinatorMovesLoadOffHotShard) {

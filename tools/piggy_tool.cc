@@ -306,9 +306,8 @@ Result<std::unique_ptr<Scenario>> StationaryFromArgs(const Args& args,
   return MakeScenario("stationary", g, std::move(w), options);
 }
 
-// --stats: dump the metrics registries after the run.
-void MaybePrintStats(const Args& args, const ClusterService& cluster) {
-  if (!args.Flag("stats")) return;
+// Dumps every metrics registry of a deployment as text.
+void PrintRegistries(const ClusterService& cluster) {
   std::printf("-- cluster registry --\n%s",
               cluster.registry().ToText().c_str());
   for (size_t s = 0; s < cluster.num_shards(); ++s) {
@@ -318,9 +317,14 @@ void MaybePrintStats(const Args& args, const ClusterService& cluster) {
   }
 }
 
-void MaybePrintStats(const Args& args, const FeedService& service) {
-  if (!args.Flag("stats")) return;
+void PrintRegistries(const FeedService& service) {
   std::printf("-- service registry --\n%s", service.registry().ToText().c_str());
+}
+
+// --stats: dump the metrics registries after the run.
+template <typename Deployment>
+void MaybePrintStats(const Args& args, const Deployment& deployment) {
+  if (args.Flag("stats")) PrintRegistries(deployment);
 }
 
 Result<Graph> LoadGraph(const std::string& path) {
@@ -735,13 +739,7 @@ Status StatsFromDataDir(const Args& args) {
       return Status::OK();
     }
     std::printf("recovered: %s\n", stats.ToString().c_str());
-    std::printf("-- cluster registry --\n%s",
-                cluster->registry().ToText().c_str());
-    for (size_t s = 0; s < cluster->num_shards(); ++s) {
-      if (cluster->IsShardDown(static_cast<uint32_t>(s))) continue;
-      std::printf("-- shard %zu registry --\n%s", s,
-                  cluster->shard(s).registry().ToText().c_str());
-    }
+    PrintRegistries(*cluster);
     return Status::OK();
   }
   FeedServiceOptions options;
@@ -757,15 +755,13 @@ Status StatsFromDataDir(const Args& args) {
     return Status::OK();
   }
   std::printf("recovered: %s\n", stats.ToString().c_str());
-  std::printf("-- service registry --\n%s",
-              service->registry().ToText().c_str());
+  PrintRegistries(*service);
   return Status::OK();
 }
 
 // Plans a sharded cluster over the graph, optionally drives traffic through
 // it, and prints one row per shard: who lives there, the work that landed,
-// and the cross-shard traffic exchanged. The last column is the windowed
-// fan-out send rate — the elastic rebalancer's celebrity-watch signal.
+// and the cross-shard traffic exchanged.
 Status CmdShards(const Args& args) {
   PIGGY_ASSIGN_OR_RETURN(Graph g, LoadGraph(args.Str("graph")));
   ClusterOptions options;
@@ -787,22 +783,20 @@ Status CmdShards(const Args& args) {
   const ClusterMetrics m = cluster->GetMetrics();
   std::vector<size_t> users(m.shards, 0);
   for (uint32_t s : cluster->shard_map().assignment()) ++users[s];
-  std::printf("%-6s %8s %10s %10s %9s %10s %10s %12s\n", "shard", "users",
-              "requests", "work", "replicas", "cross_upd", "cross_pull",
-              "send_window");
+  std::printf("%-6s %8s %10s %10s %9s %10s %10s\n", "shard", "users",
+              "requests", "work", "replicas", "cross_upd", "cross_pull");
   for (size_t s = 0; s < m.shards; ++s) {
     std::printf(
-        "%-6zu %8zu %10llu %10llu %9zu %10llu %10llu %12.1f\n", s, users[s],
+        "%-6zu %8zu %10llu %10llu %9zu %10llu %10llu\n", s, users[s],
         static_cast<unsigned long long>(m.per_shard_requests[s]),
         static_cast<unsigned long long>(m.per_shard_work[s]),
         m.per_shard_replicas[s],
         static_cast<unsigned long long>(m.per_shard_cross_updates[s]),
-        static_cast<unsigned long long>(m.per_shard_cross_queries[s]),
-        s < m.per_shard_send_window.size() ? m.per_shard_send_window[s] : 0.0);
+        static_cast<unsigned long long>(m.per_shard_cross_queries[s]));
   }
-  std::printf("imbalance: lifetime %.2f, windowed %.2f; cross edges %zu, "
-              "replicas %zu, cross msgs %llu\n",
-              m.imbalance, m.windowed_imbalance, m.cross_edges, m.replicas,
+  std::printf("imbalance: %.2f; cross edges %zu, replicas %zu, cross msgs "
+              "%llu\n",
+              m.imbalance, m.cross_edges, m.replicas,
               static_cast<unsigned long long>(m.cross_update_messages +
                                               m.cross_query_messages));
   return Status::OK();
