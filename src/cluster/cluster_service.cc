@@ -8,8 +8,8 @@
 #include <unordered_set>
 #include <utility>
 
-#include "cluster/newest_k_merge.h"
 #include "core/cost_model.h"
+#include "store/newest_k_merge.h"
 #include "util/failpoint.h"
 #include "util/string_util.h"
 #include "util/thread_pool.h"
@@ -609,7 +609,7 @@ Result<std::vector<EventTuple>> ClusterService::QueryStream(NodeId u) {
   queries_->Add();
 
   // Bounded newest-k merge over sources that are each already sorted (see
-  // cluster/newest_k_merge.h). Local feed events carry global sequence
+  // store/newest_k_merge.h). Local feed events carry global sequence
   // numbers (shares are routed with explicit seqs), so event_id is the
   // global share order directly; the local feed is newest-first.
   NewestKMerge merge(feed_size_);

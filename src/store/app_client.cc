@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "store/newest_k_merge.h"
 #include "util/logging.h"
 
 namespace piggy {
@@ -21,13 +22,12 @@ AppClient::AppClient(const Graph& graph, const Schedule& schedule,
   PIGGY_CHECK_EQ(servers_->size(), partitioner_->num_servers());
 
   const size_t n = graph.num_nodes();
-  push_views_ = schedule.BuildPushSets(n);
-  pull_views_ = schedule.BuildPullSets(n);
-  for (NodeId u = 0; u < n; ++u) {
-    // Own view first in both lists (updates and queries always touch it).
-    push_views_[u].insert(push_views_[u].begin(), u);
-    pull_views_[u].insert(pull_views_[u].begin(), u);
-  }
+  push_views_ = ViewLists::Build(n, [&](auto add) {
+    schedule.ForEachPush([&](Edge e) { add(e.src, e.dst); });
+  });
+  pull_views_ = ViewLists::Build(n, [&](auto add) {
+    schedule.ForEachPull([&](Edge e) { add(e.dst, e.src); });
+  });
 
   // The placement is fixed for this client's lifetime: group every request's
   // views by server once, here, instead of per request.
@@ -45,15 +45,13 @@ AppClient::AppClient(const Graph& graph, const Schedule& schedule,
   // own views and followee-owned views.
   // sources(w) in CSR form; ascending u keeps every list sorted.
   std::vector<size_t> source_first(n + 1, 0);
-  for (NodeId u = 0; u < n; ++u) {
-    for (NodeId w : push_views_[u]) ++source_first[w + 1];
-  }
+  for (NodeId w : push_views_.views) ++source_first[w + 1];
   for (NodeId w = 0; w < n; ++w) source_first[w + 1] += source_first[w];
   std::vector<NodeId> source_nodes(source_first[n]);
   {
     std::vector<size_t> fill(source_first.begin(), source_first.end() - 1);
     for (NodeId u = 0; u < n; ++u) {
-      for (NodeId w : push_views_[u]) source_nodes[fill[w]++] = u;
+      for (NodeId w : push_views_.Of(u)) source_nodes[fill[w]++] = u;
     }
   }
   auto sources = [&](NodeId w) {
@@ -117,16 +115,45 @@ AppClient::AppClient(const Graph& graph, const Schedule& schedule,
   interest_bytes_ = keep_.capacity() * sizeof(Keep) + keep_nodes_.capacity() * sizeof(NodeId);
 }
 
-AppClient::BatchPlan AppClient::BatchPlan::Build(
-    const std::vector<std::vector<NodeId>>& lists, const std::vector<uint32_t>& server_of,
-    size_t num_servers) {
+template <typename F>
+AppClient::ViewLists AppClient::ViewLists::Build(size_t n, F for_each_edge) {
+  // A counting sort of the scheduled (owner, view) pairs by owner: count
+  // each owner's views, turn the counts into offsets that leave each list's
+  // first slot to the own view, place the views, then sort each list past
+  // its own view.
+  ViewLists lists;
+  lists.first.assign(n + 1, 0);
+  for_each_edge([&](NodeId owner, NodeId view) {
+    if (owner < n && view < n) ++lists.first[owner + 1];
+  });
+  for (NodeId u = 0; u < n; ++u) {
+    PIGGY_CHECK_LE(size_t{lists.first[u]} + 1 + lists.first[u + 1], size_t{UINT32_MAX});
+    lists.first[u + 1] += lists.first[u] + 1;
+  }
+  lists.views.resize(lists.first[n]);
+  std::vector<uint32_t> fill(n);
+  for (NodeId u = 0; u < n; ++u) {
+    lists.views[lists.first[u]] = u;
+    fill[u] = lists.first[u] + 1;
+  }
+  for_each_edge([&](NodeId owner, NodeId view) {
+    if (owner < n && view < n) lists.views[fill[owner]++] = view;
+  });
+  for (NodeId u = 0; u < n; ++u) {
+    std::sort(lists.views.begin() + lists.first[u] + 1,
+              lists.views.begin() + lists.first[u + 1]);
+  }
+  return lists;
+}
+
+AppClient::BatchPlan AppClient::BatchPlan::Build(const ViewLists& lists,
+                                                 const std::vector<uint32_t>& server_of,
+                                                 size_t num_servers) {
   BatchPlan plan;
-  size_t total = 0;
-  for (const std::vector<NodeId>& list : lists) total += list.size();
-  PIGGY_CHECK_LE(total, size_t{UINT32_MAX});
+  const size_t total = lists.views.size();
   plan.views.resize(total);
   plan.batches.reserve(total);  // at most one batch per view
-  plan.first.reserve(lists.size() + 1);
+  plan.first.reserve(lists.num_users() + 1);
   plan.first.push_back(0);
   // A stable counting sort of each list by server: count the views per
   // server, marking each touched server in a bitmap; walk the marked
@@ -137,7 +164,8 @@ AppClient::BatchPlan AppClient::BatchPlan::Build(
   std::vector<uint32_t> cursor(num_servers, 0);
   std::vector<uint64_t> touched((num_servers + 63) / 64, 0);
   uint32_t pos = 0;
-  for (const std::vector<NodeId>& list : lists) {
+  for (NodeId u = 0; u < lists.num_users(); ++u) {
+    const std::span<const NodeId> list = lists.Of(u);
     const size_t first_batch = plan.batches.size();
     size_t lo = touched.size();
     size_t hi = 0;
@@ -182,7 +210,7 @@ std::optional<std::span<const NodeId>> AppClient::KeepSet(NodeId u, size_t i) co
 }
 
 void AppClient::ShareEvent(NodeId u, uint64_t event_id, uint64_t timestamp) {
-  PIGGY_CHECK_LT(u, push_views_.size());
+  PIGGY_CHECK_LT(u, push_views_.num_users());
   share_requests_.Add();
   const EventTuple event{u, event_id, timestamp};
   push_batches_.ForEach(u, [&](uint32_t server, std::span<const NodeId> views) {
@@ -192,29 +220,25 @@ void AppClient::ShareEvent(NodeId u, uint64_t event_id, uint64_t timestamp) {
 }
 
 std::vector<EventTuple> AppClient::QueryStream(NodeId u) {
-  PIGGY_CHECK_LT(u, pull_views_.size());
+  PIGGY_CHECK_LT(u, pull_views_.num_users());
   query_requests_.Add();
   // Each batch is filtered by its keep set, or not at all (see the
-  // constructor). The merge buffer is thread_local, not per-call: each
-  // serving thread owning one buffer keeps concurrent queries
-  // allocation-free and race-free (it never escapes this call; the result
-  // is a copy).
-  static thread_local std::vector<EventTuple> merged;
-  merged.clear();
+  // constructor), and every batch merges into the one buffer returned.
+  NewestKMerge merge(feed_size_);
   for (uint32_t b = pull_batches_.first[u]; b < pull_batches_.first[u + 1]; ++b) {
     const BatchPlan::Batch& batch = pull_batches_.batches[b];
     const std::span<const NodeId> views(pull_batches_.views.data() + batch.begin,
                                         batch.end - batch.begin);
     const Keep& keep = keep_[b];
     ViewStore& store = (*servers_)[batch.server];
-    std::vector<EventTuple> part = keep.filtered
-                                       ? store.QueryBatch(views, Members(keep), feed_size_)
-                                       : store.QueryBatch(views, feed_size_);
-    merged.insert(merged.end(), part.begin(), part.end());
+    if (keep.filtered) {
+      store.QueryBatchInto(views, Members(keep), &merge);
+    } else {
+      store.QueryBatchInto(views, &merge);
+    }
   }
   query_messages_.Add(pull_batches_.NumBatches(u));
-  KeepTopKNewest(&merged, feed_size_);
-  return merged;
+  return std::move(merge).Take();
 }
 
 }  // namespace piggy

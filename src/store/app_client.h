@@ -6,12 +6,16 @@
 //                 h[u]; one update message per distinct server.
 //   query(u):     query u's own view and every view in u's pull set l[u];
 //                 one query message per distinct server; merge the replies
-//                 into the 10 latest events (the generic `filter`).
+//                 into the 10 latest events (the generic `filter`). Every
+//                 server offers its records into one bounded NewestKMerge
+//                 that becomes the returned stream: no per-batch reply is
+//                 built, sorted or copied.
 //
 // Push and pull sets come from the request schedule; the client logic is
 // schedule-agnostic exactly as the paper stresses. The schedule and the
-// placement are fixed for a client's lifetime, so each user's per-server
-// message batches are computed once, at construction — and with them each
+// placement are fixed for a client's lifetime, so each user's view lists
+// (one flat array per direction, own view first) and per-server message
+// batches are computed once, at construction — and with them each
 // query batch's keep set: the producers the batch's views can hold that u
 // follows (or u itself). A view only ever holds events of its push sources,
 // so filtering a batch by its keep set selects exactly what u's full
@@ -91,9 +95,9 @@ class AppClient {
   }
 
   /// The views written on u's shares (own view first).
-  std::span<const NodeId> PushViews(NodeId u) const { return push_views_[u]; }
+  std::span<const NodeId> PushViews(NodeId u) const { return push_views_.Of(u); }
   /// The views read on u's queries (own view first).
-  std::span<const NodeId> PullViews(NodeId u) const { return pull_views_[u]; }
+  std::span<const NodeId> PullViews(NodeId u) const { return pull_views_.Of(u); }
 
   /// Calls fn(server, views) for every update message a share by u sends, in
   /// send order: PushViews(u) grouped by hosting server, ascending server,
@@ -129,10 +133,25 @@ class AppClient {
   std::vector<ViewStore>* servers_;
   size_t feed_size_;
 
-  // Materialized per-user view lists: h[u] / l[u] plus the own view.
-  // Immutable after construction (rebuilds create a fresh client).
-  std::vector<std::vector<NodeId>> push_views_;
-  std::vector<std::vector<NodeId>> pull_views_;
+  // Materialized per-user view lists in CSR form: u's list is
+  // views[first[u], first[u + 1]), its own view then h[u] (push) or l[u]
+  // (pull) ascending. Immutable after construction (rebuilds create a
+  // fresh client).
+  struct ViewLists {
+    std::vector<NodeId> views;
+    std::vector<uint32_t> first;
+
+    // Builds the lists of n users from for_each_edge(add), which calls
+    // add(owner, view) once per scheduled view of an owner.
+    template <typename F>
+    static ViewLists Build(size_t n, F for_each_edge);
+    size_t num_users() const { return first.size() - 1; }
+    std::span<const NodeId> Of(NodeId u) const {
+      return {views.data() + first[u], first[u + 1] - first[u]};
+    }
+  };
+  ViewLists push_views_;
+  ViewLists pull_views_;
   size_t interest_bytes_ = 0;
 
   // Striped so concurrent requests never write one cache line.
@@ -154,8 +173,8 @@ class AppClient {
     std::vector<Batch> batches;
     std::vector<uint32_t> first;
 
-    static BatchPlan Build(const std::vector<std::vector<NodeId>>& lists,
-                           const std::vector<uint32_t>& server_of, size_t num_servers);
+    static BatchPlan Build(const ViewLists& lists, const std::vector<uint32_t>& server_of,
+                           size_t num_servers);
     size_t NumBatches(NodeId u) const { return first[u + 1] - first[u]; }
     template <typename F>
     void ForEach(NodeId u, F&& fn) const {

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "simd/kernels.h"
+#include "store/newest_k_merge.h"
 
 namespace piggy {
 
@@ -80,28 +81,37 @@ void ViewStore::Write(View* view, const EventTuple& event) {
   view->head = at(1);
 }
 
-std::vector<EventTuple> ViewStore::Query(std::span<const NodeId> views,
-                                         std::span<const NodeId> interest,
-                                         bool filtered, size_t k) {
+void ViewStore::Query(std::span<const NodeId> views, std::span<const NodeId> interest,
+                      bool filtered, NewestKMerge* merge) {
+  const size_t k = merge->capacity();
   std::lock_guard<std::mutex> lock(*mu_);
   ++metrics_.query_messages;
-  candidates_.clear();
+  metrics_.view_reads += views.size();
   for (NodeId owner : views) {
-    ++metrics_.view_reads;
     const View* view = views_.Find(owner);
     if (view == nullptr) continue;
-    // Each view contributes at most k events, newest-first: the two
-    // contiguous segments slots[0, head) then slots[head, n), each scanned
-    // from its end.
+    // Each view offers at most k records, newest-first: the two contiguous
+    // segments slots[0, head) then slots[head, n), each scanned from its
+    // end. Each segment is sorted oldest-first, so once the buffer is full a
+    // binary search cuts it to the records newer than the buffer's oldest.
+    // A rejected record leaves the buffer full, which cuts the rest of the
+    // view away.
     const EventTuple* slots = view->slots.data();
     const size_t n = view->slots.size();
     const size_t head = view->head;
     size_t taken = 0;
     for (auto [begin, end] : {std::pair{size_t{0}, head}, std::pair{head, n}}) {
-      if (taken == k || begin == end) continue;
+      if (taken == k) break;
+      if (merge->full()) {
+        begin = static_cast<size_t>(
+            std::partition_point(slots + begin, slots + end,
+                                 [&](const EventTuple& e) { return !merge->Admits(e); }) -
+            slots);
+      }
+      if (begin == end) continue;
       if (!filtered) {
         for (size_t r = end; r > begin && taken < k; --r, ++taken) {
-          candidates_.push_back(slots[r - 1]);
+          if (!merge->Offer(slots[r - 1])) break;
         }
         continue;
       }
@@ -110,23 +120,36 @@ std::vector<EventTuple> ViewStore::Query(std::span<const NodeId> views,
       simd::SelectKeyedNewestInto(reinterpret_cast<const uint32_t*>(slots + begin),
                                   sizeof(EventTuple) / sizeof(uint32_t), end - begin,
                                   interest, k - taken, &sel_);
-      for (uint32_t r : sel_) candidates_.push_back(slots[begin + r]);
+      for (uint32_t r : sel_) {
+        if (!merge->Offer(slots[begin + r])) break;
+      }
       taken += sel_.size();
     }
   }
-  KeepTopKNewest(&candidates_, k);
-  return candidates_;
+}
+
+void ViewStore::QueryBatchInto(std::span<const NodeId> views,
+                               std::span<const NodeId> interest, NewestKMerge* merge) {
+  Query(views, interest, /*filtered=*/true, merge);
+}
+
+void ViewStore::QueryBatchInto(std::span<const NodeId> views, NewestKMerge* merge) {
+  Query(views, {}, /*filtered=*/false, merge);
 }
 
 std::vector<EventTuple> ViewStore::QueryBatch(std::span<const NodeId> views,
                                               std::span<const NodeId> interest,
                                               size_t k) {
-  return Query(views, interest, /*filtered=*/true, k);
+  NewestKMerge merge(k);
+  QueryBatchInto(views, interest, &merge);
+  return std::move(merge).Take();
 }
 
 std::vector<EventTuple> ViewStore::QueryBatch(std::span<const NodeId> views,
                                               size_t k) {
-  return Query(views, {}, /*filtered=*/false, k);
+  NewestKMerge merge(k);
+  QueryBatchInto(views, &merge);
+  return std::move(merge).Take();
 }
 
 std::vector<EventTuple> ViewStore::ReadView(NodeId owner) const {

@@ -12,10 +12,14 @@
 // Contents and counters are exactly those of "insert in sorted position,
 // then drop the oldest".
 //
+// A query offers its views' records newest-first into the caller's
+// NewestKMerge (store/newest_k_merge.h) under the server mutex, so no
+// per-batch buffer is filled, sorted or copied out.
+//
 // Thread safety: each server guards its views, counters and query scratch
-// with one internal mutex, so concurrent UpdateBatch / QueryBatch calls from
-// many client threads are safe and contention is per-server (the fleet is
-// the stripe set). Events may arrive slightly out of timestamp order under
+// with one internal mutex, so concurrent UpdateBatch / QueryBatchInto calls
+// from many client threads are safe and contention is per-server (the fleet
+// is the stripe set). Events may arrive slightly out of timestamp order under
 // concurrency; UpdateBatch walks back from the newest slot to the sorted
 // position (near the tail in practice).
 
@@ -56,6 +60,8 @@ struct ServerMetrics {
   uint64_t trimmed_events = 0;   ///< events dropped by capacity trimming
 };
 
+class NewestKMerge;
+
 /// \brief In-memory view server.
 class ViewStore {
  public:
@@ -75,19 +81,30 @@ class ViewStore {
   /// oldest is dropped (both count as trimmed).
   void UpdateBatch(std::span<const NodeId> views, const EventTuple& event);
 
-  /// Applies one batched query message: returns the `k` newest events across
-  /// `views` whose producer appears in the sorted `interest` span. The
-  /// filter is what keeps a pull from a hub's view from leaking events of
-  /// producers the querying user does not follow; AppClient passes the
-  /// batch's keep set, the followed producers that can reach these views.
+  /// Applies one batched query message: offers `merge` the newest events of
+  /// `views` whose producer appears in the sorted `interest` span, at most
+  /// merge->capacity() records per view. The filter is what keeps a pull
+  /// from a hub's view from leaking events of producers the querying user
+  /// does not follow; AppClient passes the batch's keep set, the followed
+  /// producers that can reach these views. A client merges every batch of
+  /// a query into one buffer, so a batch only reads the records newer than
+  /// what the earlier batches already kept.
+  void QueryBatchInto(std::span<const NodeId> views, std::span<const NodeId> interest,
+                      NewestKMerge* merge);
+
+  /// Unfiltered batched query with no interest membership test. Only
+  /// correct when the caller proved every producer that can appear in these
+  /// views is interesting (see AppClient's schedule-implied membership
+  /// precompute); the merge is then bit-identical to the filtered overload
+  /// without touching the interest set at all.
+  void QueryBatchInto(std::span<const NodeId> views, NewestKMerge* merge);
+
+  /// The `k` newest events of one filtered batch (QueryBatchInto into an
+  /// empty buffer).
   std::vector<EventTuple> QueryBatch(std::span<const NodeId> views,
                                      std::span<const NodeId> interest, size_t k);
 
-  /// Unfiltered batched query: the `k` newest events across `views` with no
-  /// interest membership test. Only correct when the caller proved every
-  /// producer that can appear in these views is interesting (see AppClient's
-  /// schedule-implied membership precompute); output is then bit-identical to
-  /// the filtered overload without touching the interest set at all.
+  /// The `k` newest events of one unfiltered batch.
   std::vector<EventTuple> QueryBatch(std::span<const NodeId> views, size_t k);
 
   /// Direct read of a full view, oldest-first (tests / audits). Empty if
@@ -123,24 +140,22 @@ class ViewStore {
     size_t head = 0;
   };
   void Write(View* view, const EventTuple& event);
-  // Both QueryBatch overloads; `interest` is ignored unless `filtered`.
-  std::vector<EventTuple> Query(std::span<const NodeId> views,
-                                std::span<const NodeId> interest, bool filtered,
-                                size_t k);
+  // Both QueryBatchInto overloads; `interest` is ignored unless `filtered`.
+  void Query(std::span<const NodeId> views, std::span<const NodeId> interest,
+             bool filtered, NewestKMerge* merge);
 
   U64Map<View> views_;
   ServerMetrics metrics_;
-  // Query scratch reused across calls (guarded by mu_).
+  // Interest-scan scratch reused across calls (guarded by mu_).
   std::vector<uint32_t> sel_;
-  std::vector<EventTuple> candidates_;
 };
 
 /// Sorts `events` newest-first, drops duplicates and keeps the `k` newest, in
-/// place (the buffer keeps its capacity).
+/// place (the buffer keeps its capacity). The sort-based oracle of stream
+/// audits and tests; the serving path merges with NewestKMerge instead.
 void KeepTopKNewest(std::vector<EventTuple>* events, size_t k);
 
-/// Merges candidate lists and keeps the `k` newest (helper shared with the
-/// client-side merge).
+/// KeepTopKNewest on a copy.
 std::vector<EventTuple> TopKNewest(std::vector<EventTuple> events, size_t k);
 
 }  // namespace piggy

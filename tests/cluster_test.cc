@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "cluster/cluster_service.h"
-#include "cluster/newest_k_merge.h"
 #include "gen/generators.h"
 #include "gen/presets.h"
 #include "graph/graph_builder.h"
@@ -24,6 +23,7 @@
 #include "scenario/replay.h"
 #include "scenario/scenario.h"
 #include "store/feed_service.h"
+#include "store/newest_k_merge.h"
 #include "util/rng.h"
 #include "workload/workload.h"
 
@@ -426,6 +426,52 @@ TEST(NewestKMergeTest, MatchesSortAndTruncateReference) {
         EXPECT_EQ(merged[i].event_id, reference[i].first) << "trial " << trial;
         EXPECT_EQ(merged[i].producer, reference[i].second) << "trial " << trial;
         EXPECT_EQ(merged[i].timestamp, merged[i].event_id);
+      }
+    }
+  }
+}
+
+// The same event can reach the router twice: in the shard-local feed and
+// in a replica or pulled history of its producer. The merge keeps it once,
+// so the output is the k-prefix of the sorted union without repeats.
+TEST(NewestKMergeTest, DropsEventsRepeatedAcrossSources) {
+  Rng rng(2026);
+  for (size_t k : {size_t{1}, size_t{3}, size_t{10}}) {
+    SCOPED_TRACE(k);
+    for (int trial = 0; trial < 200; ++trial) {
+      // The local list holds events of producers 0-4; source 0 repeats some
+      // of producer 0's events and adds fresh ones.
+      std::vector<EventTuple> local(1 + rng.Uniform(2 * k + 1));
+      for (size_t j = 0; j < local.size(); ++j) {
+        const uint64_t seq = 1 + 4 * j + rng.Uniform(4);
+        local[j] = EventTuple{static_cast<NodeId>(rng.Uniform(5)), seq, seq};
+      }
+      local[0].producer = 0;
+      std::vector<uint64_t> source{local[0].event_id};
+      for (size_t j = 1; j < local.size(); ++j) {
+        if (local[j].producer == 0 && rng.Bernoulli(0.8)) source.push_back(local[j].event_id);
+      }
+      std::sort(local.begin(), local.end(), NewerThan);
+      for (size_t j = 0, fresh = rng.Uniform(k + 1); j < fresh; ++j) {
+        source.push_back(1000 + 4 * j);
+      }
+      std::sort(source.begin(), source.end());
+
+      NewestKMerge merge(k);
+      for (const EventTuple& e : local) {
+        if (!merge.Offer(e)) break;
+      }
+      merge.OfferAscending(source, 0);
+      const std::vector<EventTuple> merged = std::move(merge).Take();
+
+      std::vector<EventTuple> reference = local;
+      for (uint64_t seq : source) reference.push_back(EventTuple{0, seq, seq});
+      std::sort(reference.begin(), reference.end(), NewerThan);
+      reference.erase(std::unique(reference.begin(), reference.end()), reference.end());
+      if (reference.size() > k) reference.resize(k);
+      ASSERT_EQ(merged, reference) << "trial " << trial;
+      for (size_t i = 1; i < merged.size(); ++i) {
+        EXPECT_NE(merged[i].event_id, merged[i - 1].event_id) << "trial " << trial;
       }
     }
   }

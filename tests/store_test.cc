@@ -15,6 +15,7 @@
 #include "gen/generators.h"
 #include "gen/presets.h"
 #include "store/app_client.h"
+#include "store/newest_k_merge.h"
 #include "store/partitioner.h"
 #include "store/view_store.h"
 #include "util/rng.h"
@@ -284,6 +285,101 @@ TEST(ViewStoreTest, RingMatchesInsertThenEraseReference) {
     }
     if (capacity > 0) {
       EXPECT_GT(ref.trimmed_events, 3 * kViews * capacity);
+    }
+  }
+}
+
+// A query merges every server's batch, in sequence, into one bounded
+// buffer. The result must be the servers' reference replies concatenated
+// and passed through the sort-based TopKNewest: the same event stored in
+// views on several servers is kept once, the floor a full buffer carries
+// from earlier batches cuts later ones exactly, and view_reads counts every
+// queried view, also one the floor skips.
+TEST(ViewStoreTest, MultiBatchMergeMatchesConcatenatedReference) {
+  constexpr uint32_t kServers = 3;
+  constexpr NodeId kViews = 6;  // owner v lives on server v % kServers
+  constexpr NodeId kProducers = 8;
+  for (size_t capacity : {size_t{0}, size_t{1}, size_t{3}, size_t{128}}) {
+    SCOPED_TRACE(testing::Message() << "capacity " << capacity);
+    Rng rng(2000 + capacity);
+    std::vector<ViewStore> rings;
+    std::vector<ReferenceViewStore> refs;
+    for (uint32_t s = 0; s < kServers; ++s) {
+      rings.emplace_back(s, capacity);
+      refs.emplace_back(capacity);
+    }
+    uint64_t clock = 100;
+    uint64_t next_id = 1;
+    std::vector<EventTuple> written;
+    const int ops = capacity == 128 ? 900 : 300;
+    for (int op = 0; op < ops; ++op) {
+      EventTuple event{NodeId(rng.Uniform(kProducers)), next_id++, 0};
+      switch (rng.Uniform(6)) {
+        case 0:  // late
+          event.timestamp = clock - rng.Uniform(6);
+          break;
+        case 1:  // an exact duplicate of an earlier event
+          event = written.empty() ? EventTuple{event.producer, event.event_id, clock}
+                                  : written[rng.Uniform(written.size())];
+          break;
+        case 2:  // a timestamp tie with a different event id
+          event.timestamp = clock;
+          break;
+        default:
+          event.timestamp = ++clock;
+      }
+      written.push_back(event);
+      // One update message per server, so an event usually lands in views
+      // on several servers.
+      for (uint32_t s = 0; s < kServers; ++s) {
+        std::vector<NodeId> targets;
+        for (NodeId v = s; v < kViews; v += kServers) {
+          if (rng.Bernoulli(0.6)) targets.push_back(v);
+        }
+        rings[s].UpdateBatch(targets, event);
+        refs[s].UpdateBatch(targets, event);
+      }
+
+      std::vector<std::vector<NodeId>> views(kServers);
+      std::vector<std::vector<NodeId>> interest(kServers);
+      std::vector<bool> filtered(kServers);
+      size_t num_views = 0;
+      for (uint32_t s = 0; s < kServers; ++s) {
+        for (NodeId v = s; v < kViews; v += kServers) {
+          if (rng.Bernoulli(0.7)) views[s].push_back(v);
+        }
+        views[s].push_back(NodeId(kViews + s));  // never written
+        num_views += views[s].size();
+        filtered[s] = rng.Bernoulli(0.5);
+        for (NodeId p = 0; p < kProducers; ++p) {
+          if (rng.Bernoulli(0.6)) interest[s].push_back(p);
+        }
+      }
+      for (size_t k : {size_t{1}, size_t{3}, size_t{10}, size_t{300}}) {
+        std::vector<uint64_t> reads_before(kServers);
+        for (uint32_t s = 0; s < kServers; ++s) {
+          reads_before[s] = rings[s].metrics().view_reads;
+        }
+        NewestKMerge merge(k);
+        std::vector<EventTuple> replies;
+        for (uint32_t s = 0; s < kServers; ++s) {
+          if (filtered[s]) {
+            rings[s].QueryBatchInto(views[s], interest[s], &merge);
+          } else {
+            rings[s].QueryBatchInto(views[s], &merge);
+          }
+          std::vector<EventTuple> reply =
+              refs[s].QueryBatch(views[s], filtered[s] ? &interest[s] : nullptr, k);
+          replies.insert(replies.end(), reply.begin(), reply.end());
+        }
+        ASSERT_EQ(std::move(merge).Take(), TopKNewest(std::move(replies), k))
+            << "op " << op << " k " << k;
+        size_t reads = 0;
+        for (uint32_t s = 0; s < kServers; ++s) {
+          reads += rings[s].metrics().view_reads - reads_before[s];
+        }
+        ASSERT_EQ(reads, num_views) << "op " << op << " k " << k;
+      }
     }
   }
 }
