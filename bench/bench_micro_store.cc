@@ -5,6 +5,7 @@
 
 #include "bench/bench_common.h"
 
+#include "cluster/cluster_service.h"
 #include "core/baselines.h"
 #include "core/parallel_nosy.h"
 #include "gen/presets.h"
@@ -67,6 +68,66 @@ void BM_QueryStream(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_QueryStream);
+
+// The router path: a 4-shard edge-cut cluster (chitchat per shard) over a
+// small Twitter-like graph, so queries merge the shard feed with push
+// replicas and pulled histories read from other shards.
+struct ClusterSystem {
+  Graph graph;
+  Workload workload;
+  std::unique_ptr<ClusterService> cluster;
+  std::unique_ptr<AliasTable> share_sampler;
+  std::unique_ptr<AliasTable> query_sampler;
+};
+
+ClusterSystem& SharedCluster() {
+  static ClusterSystem sys = [] {
+    ClusterSystem s;
+    s.graph = MakeTwitterLike(5000, 1).ValueOrDie();
+    s.workload = GenerateWorkload(s.graph, {.read_write_ratio = 1.0,
+                                            .min_rate = 0.01})
+                     .ValueOrDie();
+    ClusterOptions options;
+    options.num_shards = 4;
+    options.partitioner = "edge-cut";
+    options.shard.planner = "chitchat";
+    s.cluster =
+        ClusterService::Create(s.graph, s.workload, options).MoveValueOrDie();
+    s.share_sampler = std::make_unique<AliasTable>(s.workload.production);
+    s.query_sampler = std::make_unique<AliasTable>(s.workload.consumption);
+    // Warm every history and replica so queries merge full sources.
+    Rng rng(13);
+    for (int i = 0; i < 50000; ++i) {
+      PIGGY_CHECK_OK(s.cluster->Share(
+          static_cast<NodeId>(s.share_sampler->Sample(rng))));
+    }
+    return s;
+  }();
+  return sys;
+}
+
+void BM_ClusterQueryStream(benchmark::State& state) {
+  ClusterSystem& sys = SharedCluster();
+  Rng rng(17);
+  for (auto _ : state) {
+    auto stream = sys.cluster->QueryStream(
+        static_cast<NodeId>(sys.query_sampler->Sample(rng)));
+    benchmark::DoNotOptimize(stream.ValueOrDie().size());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ClusterQueryStream);
+
+void BM_ClusterShare(benchmark::State& state) {
+  ClusterSystem& sys = SharedCluster();
+  Rng rng(19);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sys.cluster->Share(
+        static_cast<NodeId>(sys.share_sampler->Sample(rng))));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ClusterShare);
 
 // simd::SelectKeyedNewestInto on one full view ring (128 records, the
 // EventTuple stride) against a keep set of state.range(0) members, keys

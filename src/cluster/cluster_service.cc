@@ -167,8 +167,8 @@ ClusterService::ClusterService(ClusterOptions options, ShardMap map,
       map_(std::move(map)),
       workload_(std::move(workload)),
       feed_size_(feed_size),
-      cross_(map_.num_shards(), feed_size),
-      producer_seqs_(map_.num_nodes()),
+      seqs_(map_.num_nodes(), feed_size),
+      cross_(map_.num_shards(), &seqs_),
       per_user_load_(map_.num_nodes()) {
   down_.assign(map_.num_shards(), 0);
   shard_gen_.assign(map_.num_shards(), 0);
@@ -309,7 +309,7 @@ Result<std::unique_ptr<ClusterService>> ClusterService::Create(
     const uint32_t sc = cluster->map_.ShardOf(e.dst);
     if (sp == sc) return;
     cluster->cross_.AddEdge(e.src, sp, e.dst, sc,
-                            DecideMode(cluster->workload_, e.src, e.dst), {});
+                            DecideMode(cluster->workload_, e.src, e.dst));
   });
 
   // Snapshot 0 of the cluster pair: the initial rates + sequence counter
@@ -442,24 +442,16 @@ Result<std::unique_ptr<ClusterService>> ClusterService::Recover(
 
   // Share histories + the global sequence counter, rebuilt from the
   // recovered shard event logs (shares were routed with explicit seqs, so
-  // shard event ids ARE the global sequence numbers). No locks needed: the
+  // shard event ids ARE the global sequence numbers; the slot insert keeps
+  // the newest feed_size in any arrival order). No locks needed: the
   // cluster is not serving yet.
   uint64_t max_seq = 0;
   for (uint32_t s = 0; s < shards; ++s) {
     PIGGY_ASSIGN_OR_RETURN(Prototype * plane,
                            cluster->shards_[s].service->ServingPlane());
     for (const EventTuple& e : plane->EventLog()) {
-      const NodeId global = cluster->map_.GlobalId(s, e.producer);
-      cluster->producer_seqs_[global].push_back(e.event_id);
+      cluster->seqs_.Insert(cluster->map_.GlobalId(s, e.producer), e.event_id);
       max_seq = std::max(max_seq, e.event_id);
-    }
-  }
-  for (std::vector<uint64_t>& history : cluster->producer_seqs_) {
-    std::sort(history.begin(), history.end());
-    if (history.size() > cluster->feed_size_) {
-      history.erase(history.begin(),
-                    history.end() -
-                        static_cast<std::ptrdiff_t>(cluster->feed_size_));
     }
   }
   cluster->next_seq_.store(std::max<uint64_t>(max_seq + 1, 1),
@@ -475,8 +467,7 @@ Result<std::unique_ptr<ClusterService>> ClusterService::Recover(
     const uint32_t sc = cluster->map_.ShardOf(e.dst);
     if (sp == sc) return;
     cluster->cross_.AddEdge(e.src, sp, e.dst, sc,
-                            DecideMode(cluster->workload_, e.src, e.dst),
-                            cluster->producer_seqs_[e.src]);
+                            DecideMode(cluster->workload_, e.src, e.dst));
   });
 
   // Replay the cluster WAL tail through the public API. Records whose shard
@@ -531,11 +522,6 @@ Result<std::unique_ptr<ClusterService>> ClusterService::Recover(
   return cluster;
 }
 
-std::vector<uint64_t> ClusterService::HistorySnapshot(NodeId producer) const {
-  std::lock_guard<std::mutex> stripe(StripeFor(producer));
-  return producer_seqs_[producer];
-}
-
 Status ClusterService::Share(NodeId u) {
   obs::ScopedLatency latency(replaying_ ? nullptr : share_us_);
   if (u >= map_.num_nodes()) {
@@ -559,14 +545,11 @@ Status ClusterService::Share(NodeId u) {
   // harmless, the oracle only ever sees published numbers.)
   Status st = shards_[s].service->Share(map_.LocalId(u), seq);
   if (st.ok()) {
+    // The stripe serializes the writers of u's history and replica slots;
+    // the slot insert is sorted from the tail, so a thread that drew an
+    // earlier seq but reached the stripe later still lands in order.
     std::lock_guard<std::mutex> stripe(StripeFor(u));
-    std::vector<uint64_t>& history = producer_seqs_[u];
-    // Sorted from the tail: a thread that drew an earlier seq but reached
-    // the stripe later still lands in order.
-    auto pos = history.end();
-    while (pos != history.begin() && *(pos - 1) > seq) --pos;
-    history.insert(pos, seq);
-    if (history.size() > feed_size_) history.erase(history.begin());
+    seqs_.Insert(u, seq);
     const size_t fanout = cross_.Publish(u, seq);
     per_shard_requests_[s]->Add();
     // Sending the batched fan-out is work on the producer's shard (the
@@ -609,32 +592,43 @@ Result<std::vector<EventTuple>> ClusterService::QueryStream(NodeId u) {
   queries_->Add();
 
   // Bounded newest-k merge over sources that are each already sorted (see
-  // store/newest_k_merge.h). Local feed events carry global sequence
-  // numbers (shares are routed with explicit seqs), so event_id is the
-  // global share order directly; the local feed is newest-first.
-  NewestKMerge merge(feed_size_);
-  for (const EventTuple& e : local) {
-    if (!merge.Offer(e.event_id, map_.GlobalId(s, e.producer))) break;
-  }
-  // Remote push producers: replicas materialized in u's own shard, free.
-  // Each ascending replica is read under the producer's stripe (the lock a
-  // racing Publish holds).
-  for (NodeId producer : cross_.PushProducers(u)) {
-    std::lock_guard<std::mutex> stripe(StripeFor(producer));
-    merge.OfferAscending(cross_.ReadReplica(s, producer), producer);
-  }
-  // Remote pulls: one batched message per touched shard.
+  // store/newest_k_merge.h), started from the shard feed: newest-first,
+  // duplicate-free and at most feed_size long. Its events carry global
+  // sequence numbers (shares are routed with explicit seqs, so event_id ==
+  // timestamp == seq, as Offer(seq, producer) builds them); only the
+  // producer ids need the global rewrite.
+  for (EventTuple& e : local) e.producer = map_.GlobalId(s, e.producer);
+  NewestKMerge merge(feed_size_, std::move(local));
+
+  // Remote sources, read lock-free from their seqlocked slots: push
+  // replicas materialized in u's own shard (free), and the histories of
+  // pulled producers (one batched message per touched shard). Every slot is
+  // prefetched first so the cache misses overlap instead of queueing.
+  std::span<const PushSource> pushes = cross_.PushSources(u);
   std::span<const uint32_t> pull_shards = cross_.PullShards(u);
-  for (uint32_t remote : pull_shards) {
-    for (NodeId producer : cross_.PullProducers(u, remote)) {
-      // Serving this pull is work on the *producer's* shard — attribute it
-      // to the producer so PerUserLoad follows the work when it moves.
-      per_user_load_[producer].fetch_add(1, std::memory_order_relaxed);
-      std::lock_guard<std::mutex> stripe(StripeFor(producer));
-      merge.OfferAscending(producer_seqs_[producer], producer);
+  if (!pushes.empty() || !pull_shards.empty()) {
+    for (const PushSource& p : pushes) seqs_.Prefetch(p.slot);
+    for (uint32_t remote : pull_shards) {
+      for (NodeId producer : cross_.PullProducers(u, remote)) {
+        seqs_.Prefetch(producer);
+      }
     }
+    std::vector<uint64_t> seqs(feed_size_);
+    auto offer = [&](SeqSlots::SlotId slot, NodeId producer) {
+      merge.OfferAscending({seqs.data(), seqs_.Read(slot, seqs.data())},
+                           producer);
+    };
+    for (const PushSource& p : pushes) offer(p.slot, p.producer);
+    for (uint32_t remote : pull_shards) {
+      for (NodeId producer : cross_.PullProducers(u, remote)) {
+        // Serving this pull is work on the *producer's* shard — attribute
+        // it to the producer so PerUserLoad follows the work when it moves.
+        per_user_load_[producer].fetch_add(1, std::memory_order_relaxed);
+        offer(producer, producer);
+      }
+    }
+    cross_.CountQueryFanout(pull_shards);
   }
-  cross_.CountQueryFanout(pull_shards);
   std::vector<EventTuple> stream = std::move(merge).Take();
 
   if (audit) {
@@ -680,7 +674,7 @@ Status ClusterService::AuditMerged(NodeId u,
 
   std::vector<std::pair<uint64_t, NodeId>> oracle;
   auto add_producer = [&](NodeId p) {
-    for (uint64_t seq : HistorySnapshot(p)) oracle.emplace_back(seq, p);
+    for (uint64_t seq : seqs_.Snapshot(p)) oracle.emplace_back(seq, p);
   };
   add_producer(u);
   for (NodeId p : followees) add_producer(p);
@@ -745,11 +739,10 @@ Status ClusterService::Follow(NodeId follower, NodeId producer) {
     PIGGY_RETURN_NOT_OK(shards_[sp].service->Follow(map_.LocalId(follower),
                                                     map_.LocalId(producer)));
   } else {
-    // Exclusive cluster lock: no share is mid-publication, so the history is
-    // stable without its stripe.
+    // Exclusive cluster lock: no share is mid-publication, so the history
+    // the replica backfills from is stable without its stripe.
     cross_.AddEdge(producer, sp, follower, sc,
-                   DecideMode(workload_, producer, follower),
-                   producer_seqs_[producer]);
+                   DecideMode(workload_, producer, follower));
   }
   graph_.AddEdge(producer, follower);
   if (migration_active_) {
@@ -892,8 +885,7 @@ void ClusterService::RepairCrossEdges(const std::vector<NodeId>& moved_users) {
     if (sp != sc) {
       // Exclusive cluster lock: no share is mid-publication, so the history
       // is stable without its stripe (same argument as Follow).
-      cross_.AddEdge(p, sp, c, sc, DecideMode(workload_, p, c),
-                     producer_seqs_[p]);
+      cross_.AddEdge(p, sp, c, sc, DecideMode(workload_, p, c));
     }
   };
   for (NodeId u : moved_users) {
@@ -975,7 +967,7 @@ Status ClusterService::MigrateUsers(const std::vector<UserMove>& moves) {
       const std::vector<NodeId>& members = new_map->Members(affected[i]);
       seeds[i].resize(members.size());
       for (size_t l = 0; l < members.size(); ++l) {
-        seeds[i][l] = producer_seqs_[members[l]];
+        seeds[i][l] = seqs_.Snapshot(members[l]);
       }
     }
     migration_active_ = true;
@@ -1077,7 +1069,7 @@ Status ClusterService::MigrateUsers(const std::vector<UserMove>& moves) {
   for (size_t i = 0; i < affected.size(); ++i) {
     const std::vector<NodeId>& members = new_map->Members(affected[i]);
     for (size_t l = 0; l < members.size(); ++l) {
-      for (uint64_t seq : producer_seqs_[members[l]]) {
+      for (uint64_t seq : seqs_.Snapshot(members[l])) {
         if (seq < frozen_next_seq) continue;
         Status st = rebuilt[i]->Share(static_cast<NodeId>(l), seq);
         if (!st.ok()) {

@@ -34,9 +34,10 @@
 // GetMetrics / Validate take the cluster lock shared and run concurrently
 // from any number of client threads; Follow / Unfollow / Replan take it
 // exclusive. Per-producer mutable state — the global share history and the
-// push replicas — is serialized by a small array of stripe mutexes hashed by
-// producer id, so concurrent shares and queries only contend when they touch
-// the same producer. Global share order comes from an atomic sequence
+// push replicas, both slots of one seqlocked SeqSlots store — is written
+// under a small array of stripe mutexes hashed by producer id, so concurrent
+// shares only contend when they touch the same producer, and queries read
+// it with no lock at all. Global share order comes from an atomic sequence
 // counter; a thread that drew an earlier number but reached its stripe later
 // is re-ordered by sorted-from-tail inserts (histories, replicas, and the
 // shard planes all tolerate out-of-order arrival). Cluster-level audits
@@ -60,6 +61,7 @@
 #include <vector>
 
 #include "cluster/cross_shard.h"
+#include "cluster/seq_slots.h"
 #include "cluster/shard_map.h"
 #include "durability/durable_state.h"
 #include "graph/dynamic_graph.h"
@@ -349,13 +351,10 @@ class ClusterService {
   Status AuditMerged(NodeId u, const std::vector<EventTuple>& stream,
                      const AuditToken& token);
 
-  /// Serializes per-producer history + replica mutation and reads.
+  /// Serializes the writers of a producer's history and replica slots.
   std::mutex& StripeFor(NodeId producer) const {
     return stripe_mu_[producer % kStripes];
   }
-
-  /// Copies u's global share history under its stripe lock.
-  std::vector<uint64_t> HistorySnapshot(NodeId producer) const;
 
   Status ApplyChurnLocked();
 
@@ -417,13 +416,21 @@ class ClusterService {
   RecoveryStats recovery_stats_;
 
   // Cluster lock: Share/QueryStream/GetMetrics/Validate shared,
-  // Follow/Unfollow/Replan exclusive. graph_ and the cross_ structure are
-  // mutated only under the exclusive side.
+  // Follow/Unfollow/Replan exclusive. graph_, the cross_ structure and the
+  // seqs_ slot layout are mutated only under the exclusive side.
   mutable std::shared_mutex mu_;
   DynamicGraph graph_;  // the full cluster graph (churn applies here too)
+  // Per-producer newest share seqs (ascending, trimmed to feed_size), one
+  // seqlocked slot each: slot u is u's history (the pull/backfill source and
+  // the cluster audit oracle), slots past num_nodes are the push replicas
+  // cross_ allocates. A feed can never surface more than feed_size events
+  // of one producer, so trimming is lossless for serving and auditing.
+  // Slot contents of producer u are written under StripeFor(u) and read
+  // lock-free.
+  SeqSlots seqs_;
   CrossShardIndex cross_;
 
-  // Per-producer serialization of history + replica contents on the
+  // Per-producer serialization of history + replica writes on the
   // shared-lock serving path. 64 stripes keep the false-sharing odds low at
   // any realistic client thread count.
   static constexpr size_t kStripes = 64;
@@ -435,11 +442,6 @@ class ClusterService {
   // Shares between seq assignment and history publication; with next_seq_ it
   // witnesses audit quiescence (see AuditToken).
   std::atomic<int64_t> shares_in_flight_{0};
-  // Per-producer newest share seqs (ascending, trimmed to feed_size): the
-  // pull/backfill source and the cluster audit oracle. A feed can never
-  // surface more than feed_size events of one producer, so trimming is
-  // lossless for serving and auditing. Element u guarded by StripeFor(u).
-  std::vector<std::vector<uint64_t>> producer_seqs_;
 
   // Router counters, bumped on the shared-lock serving path. Registry-backed
   // (thread-striped) counters cached by pointer at construction.

@@ -34,14 +34,14 @@ void SortedInsert(std::vector<uint32_t>& v, uint32_t x) {
 
 }  // namespace
 
-CrossShardIndex::CrossShardIndex(size_t num_shards, size_t feed_size)
+CrossShardIndex::CrossShardIndex(size_t num_shards, SeqSlots* slots)
     : num_shards_(num_shards),
-      feed_size_(feed_size),
+      slots_(slots),
       replicas_per_shard_(num_shards, 0),
       per_shard_update_messages_(num_shards),
       per_shard_query_messages_(num_shards) {
   PIGGY_CHECK_GT(num_shards, 0u);
-  PIGGY_CHECK_GT(feed_size, 0u);
+  PIGGY_CHECK(slots != nullptr);
 }
 
 std::optional<CrossEdgeMode> CrossShardIndex::ModeOf(NodeId producer,
@@ -50,10 +50,19 @@ std::optional<CrossEdgeMode> CrossShardIndex::ModeOf(NodeId producer,
   return rec ? std::optional<CrossEdgeMode>(rec->mode) : std::nullopt;
 }
 
+CrossShardIndex::ReplicaRec* CrossShardIndex::FindReplica(NodeId producer,
+                                                          uint32_t shard) {
+  std::vector<ReplicaRec>* v = replicas_.Find(producer);
+  if (v == nullptr) return nullptr;
+  for (ReplicaRec& r : *v) {
+    if (r.shard == shard) return &r;
+  }
+  return nullptr;
+}
+
 bool CrossShardIndex::AddEdge(NodeId producer, uint32_t producer_shard,
                               NodeId consumer, uint32_t consumer_shard,
-                              CrossEdgeMode mode,
-                              std::span<const uint64_t> producer_history) {
+                              CrossEdgeMode mode) {
   PIGGY_CHECK_LT(producer_shard, num_shards_);
   PIGGY_CHECK_LT(consumer_shard, num_shards_);
   PIGGY_CHECK_NE(producer_shard, consumer_shard);
@@ -62,27 +71,27 @@ bool CrossShardIndex::AddEdge(NodeId producer, uint32_t producer_shard,
     return false;
   }
   if (mode == CrossEdgeMode::kPush) {
-    const uint64_t target = EdgeKey(producer, consumer_shard);
-    if (uint32_t* count = push_target_count_.Find(target)) {
-      ++*count;  // shard already replicates the producer: nothing to move
-    } else {
-      push_target_count_.Put(target, 1);
-      SortedInsert(GetOrCreate(push_shards_, producer), consumer_shard);
+    ReplicaRec* replica = FindReplica(producer, consumer_shard);
+    if (replica == nullptr) {
       // Materialize the replica: backfill the producer's newest events so
       // pre-follow shares appear in the consumer's feed (one state-transfer
       // message, like any batched update).
-      const size_t keep = std::min(producer_history.size(), feed_size_);
-      std::vector<uint64_t> seqs(producer_history.end() - keep,
-                                 producer_history.end());
-      replicas_.Put(EdgeKey(consumer_shard, producer), std::move(seqs));
+      const SeqSlots::SlotId slot = slots_->Add();
+      slots_->Copy(producer, slot);
+      std::vector<ReplicaRec>& replicas = GetOrCreate(replicas_, producer);
+      auto pos = std::lower_bound(
+          replicas.begin(), replicas.end(), consumer_shard,
+          [](const ReplicaRec& r, uint32_t s) { return r.shard < s; });
+      replica = &*replicas.insert(pos, ReplicaRec{consumer_shard, slot, 0});
       ++replica_count_;
       ++replicas_per_shard_[consumer_shard];
-      update_messages_.fetch_add(1, std::memory_order_relaxed);
-      per_shard_update_messages_[consumer_shard].fetch_add(
-          1, std::memory_order_relaxed);
-      replica_backfills_.fetch_add(1, std::memory_order_relaxed);
+      update_messages_.Add();
+      per_shard_update_messages_[consumer_shard].Add();
+      replica_backfills_.Add();
     }
-    GetOrCreate(push_producers_, consumer).push_back(producer);
+    ++replica->followers;  // a shard already replicating moves nothing
+    GetOrCreate(push_sources_, consumer)
+        .push_back(PushSource{producer, replica->slot});
   } else {
     const uint64_t source = EdgeKey(consumer, producer_shard);
     if (uint32_t* count = pull_source_count_.Find(source)) {
@@ -103,17 +112,16 @@ bool CrossShardIndex::RemoveEdge(NodeId producer, NodeId consumer) {
   const EdgeRec rec = *found;
   edges_.Erase(EdgeKey(producer, consumer));
   if (rec.mode == CrossEdgeMode::kPush) {
-    const uint64_t target = EdgeKey(producer, rec.consumer_shard);
-    uint32_t* count = push_target_count_.Find(target);
-    PIGGY_CHECK(count != nullptr);
-    if (--*count == 0) {
-      push_target_count_.Erase(target);
-      EraseValue(push_shards_, producer, rec.consumer_shard);
-      replicas_.Erase(EdgeKey(rec.consumer_shard, producer));
+    ReplicaRec* replica = FindReplica(producer, rec.consumer_shard);
+    PIGGY_CHECK(replica != nullptr);
+    const ReplicaRec r = *replica;
+    EraseValue(push_sources_, consumer, PushSource{producer, r.slot});
+    if (--replica->followers == 0) {
+      EraseValue(replicas_, producer, ReplicaRec{r.shard, r.slot, 0});
+      slots_->Free(r.slot);
       --replica_count_;
       --replicas_per_shard_[rec.consumer_shard];
     }
-    EraseValue(push_producers_, consumer, producer);
   } else {
     const uint64_t source = EdgeKey(consumer, rec.producer_shard);
     uint32_t* count = pull_source_count_.Find(source);
@@ -128,27 +136,20 @@ bool CrossShardIndex::RemoveEdge(NodeId producer, NodeId consumer) {
 }
 
 size_t CrossShardIndex::Publish(NodeId producer, uint64_t seq) {
-  const std::vector<uint32_t>* shards = push_shards_.Find(producer);
-  if (shards == nullptr) return 0;
-  for (uint32_t shard : *shards) {
-    std::vector<uint64_t>* replica = replicas_.Find(EdgeKey(shard, producer));
-    PIGGY_CHECK(replica != nullptr);
-    // Sorted from the tail: a thread that drew an earlier sequence number but
-    // reached the stripe lock later still lands in order (O(1) in the common
-    // in-order case).
-    auto pos = replica->end();
-    while (pos != replica->begin() && *(pos - 1) > seq) --pos;
-    replica->insert(pos, seq);
-    if (replica->size() > feed_size_) replica->erase(replica->begin());
-    per_shard_update_messages_[shard].fetch_add(1, std::memory_order_relaxed);
+  const std::vector<ReplicaRec>* replicas = replicas_.Find(producer);
+  if (replicas == nullptr) return 0;
+  for (const ReplicaRec& r : *replicas) {
+    slots_->Insert(r.slot, seq);
+    per_shard_update_messages_[r.shard].Add();
   }
-  update_messages_.fetch_add(shards->size(), std::memory_order_relaxed);
-  return shards->size();
+  update_messages_.Add(replicas->size());
+  return replicas->size();
 }
 
-std::span<const NodeId> CrossShardIndex::PushProducers(NodeId consumer) const {
-  const std::vector<NodeId>* v = push_producers_.Find(consumer);
-  return v ? std::span<const NodeId>(*v) : std::span<const NodeId>();
+std::span<const PushSource> CrossShardIndex::PushSources(
+    NodeId consumer) const {
+  const std::vector<PushSource>* v = push_sources_.Find(consumer);
+  return v ? std::span<const PushSource>(*v) : std::span<const PushSource>();
 }
 
 std::span<const uint32_t> CrossShardIndex::PullShards(NodeId consumer) const {
@@ -162,15 +163,9 @@ std::span<const NodeId> CrossShardIndex::PullProducers(NodeId consumer,
   return v ? std::span<const NodeId>(*v) : std::span<const NodeId>();
 }
 
-std::span<const uint64_t> CrossShardIndex::ReadReplica(uint32_t shard,
-                                                       NodeId producer) const {
-  const std::vector<uint64_t>* v = replicas_.Find(EdgeKey(shard, producer));
-  return v ? std::span<const uint64_t>(*v) : std::span<const uint64_t>();
-}
-
 double CrossShardIndex::PredictedCost(const Workload& w) const {
   double cost = 0;
-  push_shards_.ForEach([&](uint64_t producer, const std::vector<uint32_t>& shards) {
+  replicas_.ForEach([&](uint64_t producer, const std::vector<ReplicaRec>& shards) {
     cost += w.rp(static_cast<NodeId>(producer)) * static_cast<double>(shards.size());
   });
   pull_shards_.ForEach([&](uint64_t consumer, const std::vector<uint32_t>& shards) {

@@ -13,36 +13,40 @@
 //         shard holds. A share costs one batched update message per shard
 //         replicating the producer; queries then read the replica locally for
 //         free. Creating the first push edge into a shard backfills the
-//         replica (one state-transfer message).
+//         replica from the producer's history (one state-transfer message).
 //   pull  The consumer fans out on query: one batched query message per
 //         distinct producer shard, covering every pulled producer there.
 //
 // The index stores, per producer, the shards replicating it (update fan-out
 // list) and, per consumer, the local replicas to read and the remote shards
 // to pull — everything the router needs in O(touched shards) per request.
-// Replicas hold global share sequence numbers, newest `feed_size` per
-// producer (a feed can never need more).
+// Replica contents live in the router's SeqSlots store (cluster/seq_slots.h)
+// next to the producer histories: the index allocates one slot per
+// (producer, shard) replica and hands consumers its slot id, so a query reads
+// a replica with no map probe and no lock.
 //
 // ## Threading contract (enforced by ClusterService, not internally)
 //
 // Structure mutations (AddEdge / RemoveEdge) require the caller's exclusive
-// lock; structure reads (PushProducers, PullShards, PullProducers, ModeOf,
-// counts, PredictedCost) require at least its shared lock. Replica *contents*
-// are additionally serialized per producer: Publish(p, .) and ReadReplica(.,
-// p) must run under the caller's stripe lock for p (ClusterService hashes
-// producers onto a small array of stripe mutexes), so shares and queries for
-// different producers never contend. Traffic counters are internal relaxed
-// atomics; traffic() returns a point-in-time snapshot.
+// lock; structure reads (PushSources, PullShards, PullProducers, ModeOf,
+// counts, PredictedCost) require at least its shared lock. Replica *writes*
+// are additionally serialized per producer: Publish(p, .) must run under the
+// caller's stripe lock for p (ClusterService hashes producers onto a small
+// array of stripe mutexes), so shares for different producers never contend;
+// replica reads go through SeqSlots::Read and take no lock. Traffic counters
+// are thread-striped obs::Counters; traffic() and PerShardTraffic() merge
+// them into a point-in-time snapshot.
 
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <span>
 #include <vector>
 
+#include "cluster/seq_slots.h"
 #include "graph/graph.h"
+#include "obs/metrics.h"
 #include "util/u64_containers.h"
 #include "workload/workload.h"
 
@@ -59,10 +63,21 @@ struct CrossTraffic {
   uint64_t replica_backfills = 0;  ///< replicas materialized by Follow
 };
 
+/// \brief A push replica a consumer reads: the remote producer and the
+/// SeqSlots slot holding its events in the consumer's shard.
+struct PushSource {
+  NodeId producer = 0;
+  SeqSlots::SlotId slot = 0;
+
+  bool operator==(const PushSource&) const = default;
+};
+
 /// \brief Cross-shard edge table + per-shard producer replicas.
 class CrossShardIndex {
  public:
-  CrossShardIndex(size_t num_shards, size_t feed_size);
+  /// Replicas are allocated in `slots` (not owned; must outlive the index),
+  /// whose slot p is producer p's history, the backfill source.
+  CrossShardIndex(size_t num_shards, SeqSlots* slots);
 
   size_t num_shards() const { return num_shards_; }
   /// Cross-shard edges currently tracked.
@@ -82,16 +97,14 @@ class CrossShardIndex {
   std::optional<CrossEdgeMode> ModeOf(NodeId producer, NodeId consumer) const;
 
   /// Tracks a new cross edge. For the first push edge from `producer` into
-  /// `consumer_shard` the replica is materialized from `producer_history`
-  /// (ascending global sequence numbers; the newest feed_size are kept) and
-  /// one backfill update message is counted. Returns false if already
-  /// tracked.
+  /// `consumer_shard` the replica is materialized as a copy of the
+  /// producer's history slot and one backfill update message is counted.
+  /// Returns false if already tracked.
   bool AddEdge(NodeId producer, uint32_t producer_shard, NodeId consumer,
-               uint32_t consumer_shard, CrossEdgeMode mode,
-               std::span<const uint64_t> producer_history);
+               uint32_t consumer_shard, CrossEdgeMode mode);
 
-  /// Untracks an edge; drops the (producer, shard) replica when the last push
-  /// edge into that shard disappears. Returns false if not tracked.
+  /// Untracks an edge; frees the (producer, shard) replica slot when the last
+  /// push edge into that shard disappears. Returns false if not tracked.
   bool RemoveEdge(NodeId producer, NodeId consumer);
 
   /// Share fan-out: inserts `seq` into every shard replicating `producer`
@@ -102,8 +115,9 @@ class CrossShardIndex {
   size_t Publish(NodeId producer, uint64_t seq);
 
   /// Remote producers whose replicas live in the consumer's own shard
-  /// (push-mode edges): read locally, zero messages.
-  std::span<const NodeId> PushProducers(NodeId consumer) const;
+  /// (push-mode edges), with their replica slots: read locally, zero
+  /// messages.
+  std::span<const PushSource> PushSources(NodeId consumer) const;
 
   /// Distinct remote shards the consumer pulls from (sorted ascending).
   std::span<const uint32_t> PullShards(NodeId consumer) const;
@@ -112,25 +126,19 @@ class CrossShardIndex {
   /// them all).
   std::span<const NodeId> PullProducers(NodeId consumer, uint32_t shard) const;
 
-  /// Replica contents: newest global sequence numbers of `producer`
-  /// materialized in `shard`, ascending. Empty if not replicated.
-  std::span<const uint64_t> ReadReplica(uint32_t shard, NodeId producer) const;
-
   /// Counts the batched messages of one query's pull fan-out (one per shard
   /// in `shards_pulled`). Thread-safe.
   void CountQueryFanout(std::span<const uint32_t> shards_pulled) {
-    query_messages_.fetch_add(shards_pulled.size(), std::memory_order_relaxed);
-    for (uint32_t s : shards_pulled) {
-      per_shard_query_messages_[s].fetch_add(1, std::memory_order_relaxed);
-    }
+    query_messages_.Add(shards_pulled.size());
+    for (uint32_t s : shards_pulled) per_shard_query_messages_[s].Add();
   }
 
   /// Point-in-time traffic snapshot. Thread-safe.
   CrossTraffic traffic() const {
     CrossTraffic t;
-    t.update_messages = update_messages_.load(std::memory_order_relaxed);
-    t.query_messages = query_messages_.load(std::memory_order_relaxed);
-    t.replica_backfills = replica_backfills_.load(std::memory_order_relaxed);
+    t.update_messages = update_messages_.Value();
+    t.query_messages = query_messages_.Value();
+    t.replica_backfills = replica_backfills_.Value();
     return t;
   }
 
@@ -142,10 +150,8 @@ class CrossShardIndex {
     updates->resize(num_shards_);
     queries->resize(num_shards_);
     for (size_t s = 0; s < num_shards_; ++s) {
-      (*updates)[s] =
-          per_shard_update_messages_[s].load(std::memory_order_relaxed);
-      (*queries)[s] =
-          per_shard_query_messages_[s].load(std::memory_order_relaxed);
+      (*updates)[s] = per_shard_update_messages_[s].Value();
+      (*queries)[s] = per_shard_query_messages_[s].Value();
     }
   }
 
@@ -161,26 +167,36 @@ class CrossShardIndex {
     uint32_t producer_shard;
     uint32_t consumer_shard;
   };
+  /// One (producer, shard) replica: its slot and the push edges reading it.
+  struct ReplicaRec {
+    uint32_t shard = 0;
+    SeqSlots::SlotId slot = 0;
+    uint32_t followers = 0;
+
+    bool operator==(const ReplicaRec&) const = default;
+  };
+
+  /// The producer's replica in `shard`, or null.
+  ReplicaRec* FindReplica(NodeId producer, uint32_t shard);
 
   size_t num_shards_;
-  size_t feed_size_;
+  SeqSlots* slots_;
 
-  U64Map<EdgeRec> edges_;                       // EdgeKey(producer, consumer)
-  U64Map<uint32_t> push_target_count_;          // EdgeKey(producer, shard)
-  U64Map<std::vector<uint32_t>> push_shards_;   // producer -> sorted shards
-  U64Map<std::vector<NodeId>> push_producers_;  // consumer -> producers
-  U64Map<uint32_t> pull_source_count_;          // EdgeKey(consumer, shard)
-  U64Map<std::vector<uint32_t>> pull_shards_;   // consumer -> sorted shards
-  U64Map<std::vector<NodeId>> pull_producers_;  // EdgeKey(consumer, shard)
-  U64Map<std::vector<uint64_t>> replicas_;      // EdgeKey(shard, producer)
+  U64Map<EdgeRec> edges_;                          // EdgeKey(producer, consumer)
+  U64Map<std::vector<ReplicaRec>> replicas_;       // producer -> by shard
+  U64Map<std::vector<PushSource>> push_sources_;   // consumer -> replicas
+  U64Map<uint32_t> pull_source_count_;             // EdgeKey(consumer, shard)
+  U64Map<std::vector<uint32_t>> pull_shards_;      // consumer -> sorted shards
+  U64Map<std::vector<NodeId>> pull_producers_;     // EdgeKey(consumer, shard)
   size_t replica_count_ = 0;
-  std::vector<size_t> replicas_per_shard_;      // index = shard
-  // Bumped on the shared-lock serving path (Publish / CountQueryFanout).
-  std::atomic<uint64_t> update_messages_{0};
-  std::atomic<uint64_t> query_messages_{0};
-  std::atomic<uint64_t> replica_backfills_{0};
-  std::vector<std::atomic<uint64_t>> per_shard_update_messages_;
-  std::vector<std::atomic<uint64_t>> per_shard_query_messages_;
+  std::vector<size_t> replicas_per_shard_;         // index = shard
+  // Bumped on the shared-lock serving path (Publish / CountQueryFanout);
+  // thread-striped so concurrent client threads never write one line.
+  obs::Counter update_messages_;
+  obs::Counter query_messages_;
+  obs::Counter replica_backfills_;
+  std::vector<obs::Counter> per_shard_update_messages_;
+  std::vector<obs::Counter> per_shard_query_messages_;
 };
 
 }  // namespace piggy

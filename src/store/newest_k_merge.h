@@ -13,10 +13,7 @@
 // buffer therefore equals TopKNewest of everything offered, and the work
 // per query follows (sources + k), not the candidate count.
 //
-//   NewestKMerge merge(k);
-//   for (const EventTuple& e : local) {
-//     if (!merge.Offer(e)) break;
-//   }
+//   NewestKMerge merge(k, std::move(local_feed));  // already newest-first
 //   merge.OfferAscending(replica_seqs, producer);
 //   std::vector<EventTuple> feed = std::move(merge).Take();
 //
@@ -33,6 +30,7 @@
 
 #include "graph/graph.h"
 #include "store/view_store.h"
+#include "util/logging.h"
 
 namespace piggy {
 
@@ -40,6 +38,15 @@ namespace piggy {
 class NewestKMerge {
  public:
   explicit NewestKMerge(size_t k) : k_(k) { events_.reserve(k); }
+
+  /// Starts from `sorted`, which must already be a merge result: at most k
+  /// events, newest first, no repeats (a feed another merge returned). Its
+  /// buffer becomes this merge's buffer.
+  NewestKMerge(size_t k, std::vector<EventTuple> sorted)
+      : k_(k), events_(std::move(sorted)) {
+    PIGGY_CHECK_LE(events_.size(), k_);
+    events_.reserve(k);
+  }
 
   size_t capacity() const { return k_; }
   bool full() const { return events_.size() == k_; }

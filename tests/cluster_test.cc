@@ -4,13 +4,17 @@
 // 2000-op churn lifecycle with every merged stream audited across >= 4
 // shards, the router's bounded newest-k merge against a sort-and-truncate
 // reference and under live churn and migration, router latency histograms,
+// the lock-free cross-shard fan-out under concurrent writers and readers,
 // and the edge-cut partitioner's cross-traffic win over hash placement.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <memory>
+#include <set>
 #include <string>
+#include <thread>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -563,6 +567,141 @@ TEST(ClusterServiceTest, RouterLatencyHistogramsCountEveryRequest) {
   EXPECT_GT(queries, 50u);
   EXPECT_EQ(registry.GetHistogram("cluster.share_us").Count(), shares);
   EXPECT_EQ(registry.GetHistogram("cluster.query_us").Count(), queries);
+}
+
+// The router reads push replicas and pulled histories with no lock while
+// shares rewrite them. Writer threads share hot producers that consumers on
+// other shards both pull and hold push replicas of, while reader threads
+// query: every feed returned under the race must be newest-first, free of
+// repeats, limited to followed producers and made of acked shares, and once
+// the writers stop every feed must equal the oracle built from the acked
+// shares (the shard event logs, which the router's slots do not feed).
+TEST(ClusterServiceTest, LockFreeFanOutStaysExactUnderConcurrentShares) {
+  constexpr size_t kNodes = 64;
+  constexpr NodeId kHot = 4;
+  constexpr size_t kWriters = 3;
+  constexpr size_t kReaders = 2;
+  constexpr size_t kSharesPerWriter = 3000;
+  // Everyone follows every hot producer.
+  std::vector<Edge> edges;
+  for (NodeId p = 0; p < kHot; ++p) {
+    for (NodeId c = 0; c < kNodes; ++c) {
+      if (c != p) edges.push_back(Edge{p, c});
+    }
+  }
+  Graph g = BuildGraph(kNodes, edges).ValueOrDie();
+  // rp = 1 everywhere; even consumers (rc 5) take pushes, odd ones (rc 0.2)
+  // pull (the hybrid rule pushes iff rp <= rc).
+  Workload w = UniformWorkload(kNodes, 1.0, 1.0);
+  for (NodeId u = 0; u < kNodes; ++u) w.consumption[u] = u % 2 == 0 ? 5.0 : 0.2;
+  ClusterOptions options = SmallCluster(4, "hybrid");
+  auto cluster = ClusterService::Create(g, w, options).MoveValueOrDie();
+  const ShardMap& map = cluster->shard_map();
+  const size_t k = options.shard.prototype.feed_size;
+  for (NodeId p = 0; p < kHot; ++p) {
+    size_t pushes = 0, pulls = 0;
+    for (NodeId c = 0; c < kNodes; ++c) {
+      const auto mode = cluster->cross_index().ModeOf(p, c);
+      if (mode.has_value()) ++(*mode == CrossEdgeMode::kPush ? pushes : pulls);
+    }
+    ASSERT_GT(pushes, 0u) << "hot producer " << p;
+    ASSERT_GT(pulls, 0u) << "hot producer " << p;
+  }
+
+  std::vector<std::atomic<uint64_t>> acked(kNodes);
+  std::atomic<size_t> writers_left{kWriters};
+  std::atomic<uint64_t> bad_feeds{0};
+  std::atomic<uint64_t> errors{0};
+  std::atomic<uint64_t> queries{0};
+  std::vector<std::vector<EventTuple>> seen(kReaders);
+  // Every thread starts together, so the shares overlap the queries.
+  std::atomic<size_t> ready{0};
+  auto start = [&] {
+    ready.fetch_add(1);
+    while (ready.load() < kWriters + kReaders) std::this_thread::yield();
+  };
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kWriters; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(Mix64(t + 101));
+      start();
+      for (size_t i = 0; i < kSharesPerWriter; ++i) {
+        const NodeId u = rng.Bernoulli(0.8)
+                             ? static_cast<NodeId>(rng.Uniform(kHot))
+                             : static_cast<NodeId>(rng.Uniform(kNodes));
+        if (cluster->Share(u).ok()) {
+          acked[u].fetch_add(1);
+        } else {
+          errors.fetch_add(1);
+        }
+      }
+      writers_left.fetch_sub(1);
+    });
+  }
+  for (size_t t = 0; t < kReaders; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(Mix64(t + 202));
+      start();
+      while (writers_left.load() > 0) {
+        const NodeId u = static_cast<NodeId>(rng.Uniform(kNodes));
+        auto feed = cluster->QueryStream(u);
+        if (!feed.ok()) {
+          errors.fetch_add(1);
+          continue;
+        }
+        const std::vector<EventTuple>& stream = feed.ValueOrDie();
+        bool ok = stream.size() <= k;
+        for (size_t i = 0; i < stream.size(); ++i) {
+          const EventTuple& e = stream[i];
+          ok = ok && e.timestamp == e.event_id &&
+               (e.producer == u || g.HasEdge(e.producer, u)) &&
+               (i == 0 || e.event_id < stream[i - 1].event_id);
+          seen[t].push_back(e);
+        }
+        if (!ok) bad_feeds.fetch_add(1);
+        queries.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(errors.load(), 0u);
+  EXPECT_EQ(bad_feeds.load(), 0u);
+  EXPECT_GT(queries.load(), 0u);
+
+  // The oracle: every logged share, under its global producer id. Each
+  // acked share is logged exactly once, and nothing else is.
+  std::vector<std::vector<uint64_t>> logged(kNodes);
+  std::set<std::pair<NodeId, uint64_t>> events;
+  for (uint32_t s = 0; s < map.num_shards(); ++s) {
+    Prototype* plane = cluster->shard(s).ServingPlane().ValueOrDie();
+    for (const EventTuple& e : plane->EventLog()) {
+      const NodeId p = map.GlobalId(s, e.producer);
+      logged[p].push_back(e.event_id);
+      events.emplace(p, e.event_id);
+    }
+  }
+  for (NodeId u = 0; u < kNodes; ++u) {
+    EXPECT_EQ(logged[u].size(), acked[u].load()) << "user " << u;
+  }
+  for (const std::vector<EventTuple>& feeds : seen) {
+    for (const EventTuple& e : feeds) {
+      ASSERT_TRUE(events.count({e.producer, e.event_id}))
+          << "event " << e.event_id << " of " << e.producer << " never acked";
+    }
+  }
+  for (NodeId u = 0; u < kNodes; ++u) {
+    std::vector<EventTuple> expected;
+    auto add = [&](NodeId p) {
+      for (uint64_t seq : logged[p]) expected.push_back(EventTuple{p, seq, seq});
+    };
+    add(u);
+    for (NodeId p : g.InNeighbors(u)) add(p);
+    std::sort(expected.begin(), expected.end(), NewerThan);
+    if (expected.size() > k) expected.resize(k);
+    EXPECT_EQ(cluster->QueryStream(u).MoveValueOrDie(), expected) << "user " << u;
+  }
+  ASSERT_TRUE(cluster->Validate().ok());
+  EXPECT_GT(cluster->GetMetrics().audited_queries, 0u);
 }
 
 // The edge-cut partitioner's reason to exist: on a community-structured
