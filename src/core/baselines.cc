@@ -26,15 +26,4 @@ Schedule HybridSchedule(const Graph& g, const Workload& w) {
   return s;
 }
 
-void FinalizeWithHybrid(const Graph& g, const Workload& w, Schedule* schedule) {
-  g.ForEachEdge([&](const Edge& e) {
-    if (schedule->IsAssigned(e.src, e.dst)) return;
-    if (w.rp(e.src) <= w.rc(e.dst)) {
-      schedule->AddPush(e.src, e.dst);
-    } else {
-      schedule->AddPull(e.src, e.dst);
-    }
-  });
-}
-
 }  // namespace piggy

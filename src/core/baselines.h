@@ -12,8 +12,6 @@
 // The schedule-building functions here are deprecated legacy entry points:
 // prefer MakePlanner("push-all" | "pull-all" | "hybrid") from core/planner.h,
 // which wraps them in the uniform Planner contract (bit-identical schedules).
-// FinalizeWithHybrid stays: it is the optimizers' completion rule, not a
-// planning surface.
 
 #pragma once
 
@@ -32,10 +30,5 @@ Schedule PullAllSchedule(const Graph& g);
 /// Silberstein et al. hybrid: edge u -> v pushed iff rp(u) <= rc(v), else
 /// pulled. Ties resolve to push (one fewer query dependency).
 Schedule HybridSchedule(const Graph& g, const Workload& w);
-
-/// Assigns every graph edge that has no service yet (not in H, L, or C) to
-/// its cheaper direct side, in place. Used to finalize PARALLELNOSY output,
-/// whose unassigned edges default to the hybrid policy.
-void FinalizeWithHybrid(const Graph& g, const Workload& w, Schedule* schedule);
 
 }  // namespace piggy

@@ -19,12 +19,16 @@
 //      applying.
 //
 // Iterations repeat until a fixed point (no candidate applies) or the
-// iteration cap. Unassigned edges fall back to the hybrid policy; call
-// FinalizeWithHybrid (default) to make that explicit.
+// iteration cap. Unassigned edges fall back to the hybrid policy;
+// finalize_hybrid (default) assigns each to its cheaper direct side.
 //
 // Two executors produce bit-identical schedules: a sequential reference and a
 // MapReduce implementation running phases as jobs on src/mapreduce (the paper
-// ran the same structure on Hadoop).
+// ran the same structure on Hadoop). Both read one dense service state per
+// canonical edge index (push, pull, hub-covered) that mirrors the schedule:
+// X is the sorted intersection of the in-lists of w and y, whose positions
+// index that state directly, so no per-edge step probes a hash set or
+// searches an adjacency list.
 
 #pragma once
 
@@ -56,10 +60,14 @@ struct ParallelNosyOptions {
   bool randomized_tie_break = false;
   /// Assign leftover edges to the cheaper direct side before returning.
   bool finalize_hybrid = true;
-  /// Optional progress/cancellation callbacks (core/plan_hooks.h), checked
-  /// once per optimization iteration. A firing stop predicate ends the
-  /// iteration loop early (converged stays false); finalize_hybrid then
-  /// completes the schedule as usual. Unset hooks change nothing.
+  /// Optional progress/cancellation callbacks (core/plan_hooks.h). Progress
+  /// marks the start of each phase: "setup", then per iteration
+  /// "candidates" (candidate + lock job), "decide", "merge", "cost" and,
+  /// unless it is the last, "active" (the next iteration's hub edges), then
+  /// "finalize", each with the iterations completed before it. The stop
+  /// predicate is checked once per iteration; firing ends the iteration
+  /// loop early (converged stays false) and finalize_hybrid then completes
+  /// the schedule as usual. Unset hooks change nothing.
   PlanHooks hooks;
 };
 

@@ -21,8 +21,10 @@
 namespace piggy {
 
 /// \brief One progress observation from a running optimizer.
+/// A report marks the start of its phase, which runs until the next report
+/// of another phase; obs::PlanPhaseTracer times phases by this rule.
 struct PlanProgress {
-  const char* phase = "";  ///< e.g. "greedy" (CHITCHAT), "iteration" (NOSY)
+  const char* phase = "";  ///< e.g. "greedy" (CHITCHAT), "candidates" (NOSY)
   size_t step = 0;         ///< steps completed in this phase
   size_t total_hint = 0;   ///< upper bound on steps if known, else 0
   double cost = 0;         ///< current schedule cost estimate (0 if untracked)

@@ -190,5 +190,27 @@ Status WriteTraceFile(const TraceLog& log, const std::string& path) {
   return Status::OK();
 }
 
+void PlanPhaseTracer::Observe(const PlanProgress& p) {
+  if (phase_ != p.phase) {
+    Close();
+    phase_ = p.phase;
+    start_us_ = trace_->NowUs();
+  }
+  steps_ = p.step;
+  cost_ = p.cost;
+}
+
+void PlanPhaseTracer::Close() {
+  if (phase_.empty()) return;
+  trace_->Span(TraceEventKind::kPlanPhase, start_us_, shard_,
+               {{"phase", phase_},
+                {"steps", std::to_string(steps_)},
+                {"cost", StrFormat("%.1f", cost_)}},
+               "plan:" + phase_);
+  phase_.clear();
+  steps_ = 0;
+  cost_ = 0;
+}
+
 }  // namespace obs
 }  // namespace piggy

@@ -26,6 +26,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/plan_hooks.h"
 #include "util/status.h"
 
 namespace piggy {
@@ -98,6 +99,28 @@ class TraceLog {
   std::vector<TraceEvent> ring_;  // grows to capacity_, then wraps
   size_t next_ = 0;               // overwrite cursor once full
   uint64_t dropped_ = 0;
+};
+
+/// \brief Folds a planner's progress stream (core/plan_hooks.h) into one
+/// kPlanPhase span per phase, named "plan:<phase>" and carrying the phase's
+/// last step and cost: a report starts its phase, which lasts until a report
+/// of another phase or Close(). A planner never reports concurrently, so the
+/// tracer takes no lock.
+class PlanPhaseTracer {
+ public:
+  PlanPhaseTracer(TraceLog* trace, int32_t shard) : trace_(trace), shard_(shard) {}
+
+  void Observe(const PlanProgress& p);
+  /// Ends the open phase, if any.
+  void Close();
+
+ private:
+  TraceLog* const trace_;
+  const int32_t shard_;
+  std::string phase_;
+  double start_us_ = 0;
+  size_t steps_ = 0;
+  double cost_ = 0;
 };
 
 /// Serializes events (e.g. a TraceLog::Events() copy) without a TraceLog.

@@ -20,21 +20,6 @@ namespace {
 // bit-for-bit; the tails of the vector loops fall through into them.
 // ---------------------------------------------------------------------------
 
-void TwoPointerValues(const NodeId* a, size_t na, const NodeId* b, size_t nb,
-                      size_t i, size_t j, std::vector<NodeId>* out) {
-  while (i < na && j < nb) {
-    if (a[i] < b[j]) {
-      ++i;
-    } else if (a[i] > b[j]) {
-      ++j;
-    } else {
-      out->push_back(a[i]);
-      ++i;
-      ++j;
-    }
-  }
-}
-
 void TwoPointerPairs(const NodeId* a, size_t na, const NodeId* b, size_t nb,
                      size_t i, size_t j, std::vector<IndexPair>* out) {
   while (i < na && j < nb) {
@@ -120,66 +105,6 @@ void SelectKeyedScalar(const uint32_t* keys, size_t stride_u32, size_t end,
 // (still bit-identical by construction).
 // ---------------------------------------------------------------------------
 
-// Left-pack permutation LUT for 4-bit masks: kPack4[m] lists the set lanes
-// of m in ascending order (as byte shuffle indices for _mm_shuffle_epi8).
-struct Pack4Table {
-  alignas(16) uint8_t shuffle[16][16];
-};
-constexpr Pack4Table BuildPack4() {
-  Pack4Table t{};
-  for (int m = 0; m < 16; ++m) {
-    int k = 0;
-    for (int lane = 0; lane < 4; ++lane) {
-      if (m & (1 << lane)) {
-        for (int byte = 0; byte < 4; ++byte) {
-          t.shuffle[m][k * 4 + byte] = static_cast<uint8_t>(lane * 4 + byte);
-        }
-        ++k;
-      }
-    }
-    for (; k < 4; ++k) {
-      for (int byte = 0; byte < 4; ++byte) {
-        t.shuffle[m][k * 4 + byte] = 0;
-      }
-    }
-  }
-  return t;
-}
-constexpr Pack4Table kPack4 = BuildPack4();
-
-__attribute__((target("sse4.2"))) void IntersectValuesSse42(
-    const NodeId* a, size_t na, const NodeId* b, size_t nb,
-    std::vector<NodeId>* out) {
-  size_t i = 0, j = 0;
-  while (i + 4 <= na && j + 4 <= nb) {
-    const __m128i va = _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i));
-    const __m128i vb = _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + j));
-    const uint32_t amax = a[i + 3], bmax = b[j + 3];
-    __m128i rot = vb;
-    __m128i match = _mm_cmpeq_epi32(va, rot);
-    rot = _mm_shuffle_epi32(rot, _MM_SHUFFLE(0, 3, 2, 1));
-    match = _mm_or_si128(match, _mm_cmpeq_epi32(va, rot));
-    rot = _mm_shuffle_epi32(rot, _MM_SHUFFLE(0, 3, 2, 1));
-    match = _mm_or_si128(match, _mm_cmpeq_epi32(va, rot));
-    rot = _mm_shuffle_epi32(rot, _MM_SHUFFLE(0, 3, 2, 1));
-    match = _mm_or_si128(match, _mm_cmpeq_epi32(va, rot));
-    const int mask = _mm_movemask_ps(_mm_castsi128_ps(match));
-    if (mask != 0) {
-      const __m128i shuf = _mm_load_si128(
-          reinterpret_cast<const __m128i*>(kPack4.shuffle[mask]));
-      const __m128i packed = _mm_shuffle_epi8(va, shuf);
-      const size_t cnt = static_cast<size_t>(__builtin_popcount(mask));
-      const size_t old = out->size();
-      out->resize(old + 4);
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(out->data() + old), packed);
-      out->resize(old + cnt);
-    }
-    if (amax <= bmax) i += 4;
-    if (bmax <= amax) j += 4;
-  }
-  TwoPointerValues(a, na, b, nb, i, j, out);
-}
-
 __attribute__((target("sse4.2"))) void IntersectPairsSse42(
     const NodeId* a, size_t na, const NodeId* b, size_t nb,
     std::vector<IndexPair>* out) {
@@ -235,54 +160,6 @@ __attribute__((target("sse4.2"))) void NotCoveredContiguousSse42(
 // ---------------------------------------------------------------------------
 // AVX2 tier: 256-bit block compares plus hardware gathers.
 // ---------------------------------------------------------------------------
-
-struct Pack8Table {
-  alignas(32) uint32_t perm[256][8];
-};
-constexpr Pack8Table BuildPack8() {
-  Pack8Table t{};
-  for (int m = 0; m < 256; ++m) {
-    int k = 0;
-    for (int lane = 0; lane < 8; ++lane) {
-      if (m & (1 << lane)) t.perm[m][k++] = static_cast<uint32_t>(lane);
-    }
-    for (; k < 8; ++k) t.perm[m][k] = 0;
-  }
-  return t;
-}
-constexpr Pack8Table kPack8 = BuildPack8();
-
-__attribute__((target("avx2"))) void IntersectValuesAvx2(
-    const NodeId* a, size_t na, const NodeId* b, size_t nb,
-    std::vector<NodeId>* out) {
-  const __m256i rot1 = _mm256_setr_epi32(1, 2, 3, 4, 5, 6, 7, 0);
-  size_t i = 0, j = 0;
-  while (i + 8 <= na && j + 8 <= nb) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    __m256i vb = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + j));
-    const uint32_t amax = a[i + 7], bmax = b[j + 7];
-    __m256i match = _mm256_setzero_si256();
-    for (int r = 0; r < 8; ++r) {
-      match = _mm256_or_si256(match, _mm256_cmpeq_epi32(va, vb));
-      vb = _mm256_permutevar8x32_epi32(vb, rot1);
-    }
-    const int mask = _mm256_movemask_ps(_mm256_castsi256_ps(match));
-    if (mask != 0) {
-      const __m256i perm = _mm256_load_si256(
-          reinterpret_cast<const __m256i*>(kPack8.perm[mask]));
-      const __m256i packed = _mm256_permutevar8x32_epi32(va, perm);
-      const size_t cnt = static_cast<size_t>(__builtin_popcount(mask));
-      const size_t old = out->size();
-      out->resize(old + 8);
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(out->data() + old), packed);
-      out->resize(old + cnt);
-    }
-    if (amax <= bmax) i += 8;
-    if (bmax <= amax) j += 8;
-  }
-  TwoPointerValues(a, na, b, nb, i, j, out);
-}
 
 __attribute__((target("avx2"))) void IntersectPairsAvx2(
     const NodeId* a, size_t na, const NodeId* b, size_t nb,
@@ -482,28 +359,6 @@ __attribute__((target("avx2"))) void SelectKeyedAvx2(
 #endif  // PIGGY_SIMD_X86
 
 }  // namespace
-
-void IntersectSortedInto(std::span<const NodeId> a, std::span<const NodeId> b,
-                         std::vector<NodeId>* out) {
-  if (a.empty() || b.empty()) return;
-  if (UseGallop(a, b)) {
-    GallopIntersect(a, b, [out](NodeId v, size_t, size_t) { out->push_back(v); });
-    return;
-  }
-#ifdef PIGGY_SIMD_X86
-  switch (ActiveTier()) {
-    case Tier::kAvx2:
-      IntersectValuesAvx2(a.data(), a.size(), b.data(), b.size(), out);
-      return;
-    case Tier::kSse42:
-      IntersectValuesSse42(a.data(), a.size(), b.data(), b.size(), out);
-      return;
-    case Tier::kScalar:
-      break;
-  }
-#endif
-  TwoPointerValues(a.data(), a.size(), b.data(), b.size(), 0, 0, out);
-}
 
 void IntersectSortedPairsInto(std::span<const NodeId> a, std::span<const NodeId> b,
                               std::vector<IndexPair>* out) {

@@ -1,8 +1,8 @@
 // Vectorized kernels for the three hot loops of the system, dispatched at
 // runtime over the tiers in simd/dispatch.h:
 //
-//   - sorted-set intersection (values and positions): the CHITCHAT oracle's
-//     cross-pair topology build and parallel_nosy's active-edge propagation;
+//   - sorted-set intersection positions: the CHITCHAT oracle's cross-pair
+//     topology build and parallel_nosy's active-edge propagation;
 //   - bitmap-filtered counting over the per-edge coverage map: the oracle's
 //     instance refreshes;
 //   - gather-based newest-first view merging: the serving plane's QueryBatch
@@ -35,13 +35,6 @@ namespace piggy::simd {
 /// byte indices and mask the tail, so up to 7 bytes past the last valid
 /// index are touched (never interpreted). Size bitmaps num_edges + this.
 inline constexpr size_t kCoveredPadding = 8;
-
-/// Appends every value common to the sorted spans `a` and `b` to *out, in
-/// ascending order. Equivalent to ForEachSortedIntersection collecting v.
-/// Skewed pairs (size ratio >= kGallopIntersectRatio) gallop exactly like
-/// the scalar template; similar sizes take the vectorized block merge.
-void IntersectSortedInto(std::span<const NodeId> a, std::span<const NodeId> b,
-                         std::vector<NodeId>* out);
 
 /// \brief A match position pair: a[ia] == b[ib].
 struct IndexPair {

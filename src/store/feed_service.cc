@@ -28,36 +28,18 @@ ClientMetrics SumMetrics(const ClientMetrics& a, const ClientMetrics& b) {
   return sum;
 }
 
-// Folds a planner's progress stream into one kPlanPhase span per optimizer
-// phase (progress callbacks are never concurrent, so plain state is safe).
-struct PlanPhaseTracer {
-  std::string phase;
-  double start_us = 0;
-  size_t steps = 0;
-  double cost = 0;
-
-  void Observe(obs::TraceLog* trace, int32_t shard, const PlanProgress& p) {
-    if (phase != p.phase) {
-      Close(trace, shard);
-      phase = p.phase;
-      start_us = trace->NowUs();
-    }
-    steps = p.step;
-    cost = p.cost;
-  }
-
-  void Close(obs::TraceLog* trace, int32_t shard) {
-    if (phase.empty()) return;
-    trace->Span(obs::TraceEventKind::kPlanPhase, start_us, shard,
-                {{"phase", phase},
-                 {"steps", std::to_string(steps)},
-                 {"cost", StrFormat("%.1f", cost)}},
-                "plan:" + phase);
-    phase.clear();
-    steps = 0;
-    cost = 0;
-  }
-};
+// Chains a plan:* span tracer after ctx's own progress observer; without a
+// trace, leaves ctx as it is and returns null.
+std::shared_ptr<obs::PlanPhaseTracer> TracePlanPhases(obs::TraceLog* trace, int32_t shard,
+                                                      PlanContext* ctx) {
+  if (trace == nullptr) return nullptr;
+  auto tracer = std::make_shared<obs::PlanPhaseTracer>(trace, shard);
+  ctx->progress = [tracer, prev = std::move(ctx->progress)](const PlanProgress& p) {
+    if (prev) prev(p);
+    tracer->Observe(p);
+  };
+  return tracer;
+}
 
 }  // namespace
 
@@ -317,19 +299,10 @@ Status FeedService::ReplanLocked() {
                          MakePlanner(options_.planner));
   PIGGY_ASSIGN_OR_RETURN(Graph snapshot, graph_.Snapshot());
   PlanContext ctx = options_.plan_context;
-  auto tracer = std::make_shared<PlanPhaseTracer>();
-  if (trace != nullptr) {
-    const int32_t shard = options_.trace_shard;
-    auto prev = ctx.progress;
-    ctx.progress = [trace, shard, tracer,
-                    prev = std::move(prev)](const PlanProgress& p) {
-      if (prev) prev(p);
-      tracer->Observe(trace, shard, p);
-    };
-  }
+  const auto tracer = TracePlanPhases(trace, options_.trace_shard, &ctx);
   PIGGY_ASSIGN_OR_RETURN(PlanResult plan,
                          planner->Plan(snapshot, workload_, ctx));
-  if (trace != nullptr) tracer->Close(trace, options_.trace_shard);
+  if (tracer != nullptr) tracer->Close();
   schedule_ = std::move(plan.schedule);
   schedule_text_.reset();
   maintainer_->RebuildIndexes();
@@ -462,19 +435,10 @@ Status FeedService::BackgroundReplanOnce(bool refresh_workload) {
   }
   PlanContext ctx = options_.plan_context;
   ctx.cancel = &replan_cancel_;
-  auto tracer = std::make_shared<PlanPhaseTracer>();
-  if (trace != nullptr) {
-    const int32_t shard = options_.trace_shard;
-    auto prev = ctx.progress;
-    ctx.progress = [trace, shard, tracer,
-                    prev = std::move(prev)](const PlanProgress& p) {
-      if (prev) prev(p);
-      tracer->Observe(trace, shard, p);
-    };
-  }
+  const auto tracer = TracePlanPhases(trace, options_.trace_shard, &ctx);
   Result<PlanResult> plan_result =
       (*planner)->Plan(planning_snapshot, workload_copy, ctx);
-  if (trace != nullptr) tracer->Close(trace, options_.trace_shard);
+  if (tracer != nullptr) tracer->Close();
   if (!plan_result.ok()) {
     disarm_journal();
     return plan_result.status();

@@ -89,34 +89,5 @@ TEST(BaselinesTest, HybridOptimalAmongDirectSchedules) {
   EXPECT_NEAR(HybridCost(g, w), best, 1e-9);
 }
 
-TEST(BaselinesTest, FinalizeWithHybridCompletesSchedule) {
-  Graph g = GenerateErdosRenyi(20, 60, 9).ValueOrDie();
-  Workload w = GenerateWorkload(g, {.min_rate = 0.1}).ValueOrDie();
-  Schedule s;
-  // Assign a few edges manually, leave the rest.
-  std::vector<Edge> edges = g.Edges();
-  s.AddPush(edges[0].src, edges[0].dst);
-  s.AddPull(edges[1].src, edges[1].dst);
-  EXPECT_FALSE(ValidateSchedule(g, s).ok());
-  FinalizeWithHybrid(g, w, &s);
-  EXPECT_TRUE(ValidateSchedule(g, s).ok());
-  // Pre-assigned edges keep their assignment.
-  EXPECT_TRUE(s.IsPush(edges[0].src, edges[0].dst));
-  EXPECT_TRUE(s.IsPull(edges[1].src, edges[1].dst));
-}
-
-TEST(BaselinesTest, FinalizeLeavesCoveredEdgesAlone) {
-  Graph g = BuildGraph(3, {{0, 2}, {2, 1}, {0, 1}}).ValueOrDie();
-  Workload w = UniformWorkload(3, 1.0, 5.0);
-  Schedule s;
-  s.AddPush(0, 2);
-  s.AddPull(2, 1);
-  s.SetHubCover(0, 1, 2);
-  FinalizeWithHybrid(g, w, &s);
-  EXPECT_FALSE(s.IsPush(0, 1));
-  EXPECT_FALSE(s.IsPull(0, 1));
-  EXPECT_TRUE(s.IsHubCovered(0, 1));
-}
-
 }  // namespace
 }  // namespace piggy

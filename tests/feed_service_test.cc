@@ -10,6 +10,7 @@
 #include "core/cost_model.h"
 #include "core/validator.h"
 #include "gen/presets.h"
+#include "obs/trace.h"
 #include "scenario/replay.h"
 #include "scenario/scenario.h"
 #include "store/feed_service.h"
@@ -230,6 +231,35 @@ TEST(FeedServiceTest, MetricsReportCoreModelCosts) {
                          service->schedule(), ResidualPolicy::kFree));
   EXPECT_LE(m.schedule_cost, m.hybrid_cost + 1e-6);
   EXPECT_FALSE(m.ToString().empty());
+}
+
+// A traced nosy plan shows where its time went: one plan:* span per
+// sub-phase, in order and without overlap, from setup through every
+// iteration's candidate job, decision job, merge, cost and active-edge
+// passes to finalize. The last iteration computes no active edges.
+TEST(FeedServiceTest, NosyPlanTracesItsPhases) {
+  Graph g = MakeFlickrLike(300, 17).ValueOrDie();
+  obs::TraceLog trace;
+  FeedServiceOptions options = SmallDeployment("nosy");
+  options.trace = &trace;
+  auto service = FeedService::Create(g, options).MoveValueOrDie();
+  std::vector<std::string> names;
+  double prev_end = 0;
+  for (const obs::TraceEvent& ev : trace.Events()) {
+    if (ev.kind != obs::TraceEventKind::kPlanPhase) continue;
+    EXPECT_GE(ev.ts_us + 1e-3, prev_end) << ev.name;  // 1 ns of rounding slack
+    prev_end = ev.ts_us + ev.dur_us;
+    names.push_back(ev.name);
+  }
+  ASSERT_GE(names.size(), 7u);
+  EXPECT_EQ(names.front(), "plan:setup");
+  EXPECT_EQ(names.back(), "plan:finalize");
+  const std::vector<std::string> iteration = {"plan:candidates", "plan:decide",
+                                              "plan:merge", "plan:cost", "plan:active"};
+  ASSERT_EQ((names.size() - 2) % iteration.size(), iteration.size() - 1);
+  for (size_t i = 1; i + 1 < names.size(); ++i) {
+    EXPECT_EQ(names[i], iteration[(i - 1) % iteration.size()]) << i;
+  }
 }
 
 }  // namespace

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "core/baselines.h"
 #include "core/cost_model.h"
@@ -9,6 +14,7 @@
 #include "gen/generators.h"
 #include "gen/presets.h"
 #include "graph/graph_builder.h"
+#include "util/rng.h"
 #include "workload/workload.h"
 
 namespace piggy {
@@ -113,6 +119,33 @@ TEST(ParallelNosyTest, FinalizedScheduleIsValid) {
   EXPECT_TRUE(ValidateSchedule(g, result.schedule).ok());
 }
 
+// Finalize completes the schedule at the hybrid policy: served edges (push,
+// pull or hub-covered) keep their service, and every other edge goes to its
+// cheaper direct side, push on ties.
+TEST(ParallelNosyTest, FinalizeServesOnlyUnservedEdgesAtTheirCheaperSide) {
+  Graph g = MakeFlickrLike(300, 8).ValueOrDie();
+  Workload w = GenerateWorkload(g, {}).ValueOrDie();
+  ParallelNosyOptions opt;
+  opt.finalize_hybrid = false;
+  const Schedule open = RunParallelNosy(g, w, opt).ValueOrDie().schedule;
+  const Schedule done = RunParallelNosy(g, w).ValueOrDie().schedule;
+  ASSERT_GT(open.hub_covered_size(), 0u);
+  size_t completed = 0;
+  g.ForEachEdge([&](const Edge& e) {
+    if (open.IsAssigned(e.src, e.dst)) {
+      EXPECT_EQ(done.IsPush(e.src, e.dst), open.IsPush(e.src, e.dst));
+      EXPECT_EQ(done.IsPull(e.src, e.dst), open.IsPull(e.src, e.dst));
+      EXPECT_EQ(done.HubFor(e.src, e.dst), open.HubFor(e.src, e.dst));
+      return;
+    }
+    ++completed;
+    const bool push = w.rp(e.src) <= w.rc(e.dst);
+    EXPECT_EQ(done.IsPush(e.src, e.dst), push) << e.src << "->" << e.dst;
+    EXPECT_EQ(done.IsPull(e.src, e.dst), !push) << e.src << "->" << e.dst;
+  });
+  EXPECT_GT(completed, 0u);
+}
+
 TEST(ParallelNosyTest, UnfinalizedLeavesResidualToHybrid) {
   Graph g = MakeFlickrLike(300, 8).ValueOrDie();
   Workload w = GenerateWorkload(g, {}).ValueOrDie();
@@ -184,6 +217,80 @@ TEST(ParallelNosyTest, NoChainedCovers) {
     EXPECT_FALSE(result.schedule.IsHubCovered(e.src, hub));
     EXPECT_FALSE(result.schedule.IsHubCovered(hub, e.dst));
   });
+}
+
+// Order-independent digest of everything a run returns: the sorted push,
+// pull and (edge, hub) cover sets, every iteration's counters and cost bits,
+// the convergence flag and the final cost bits.
+uint64_t PlanDigest(const ParallelNosyResult& r) {
+  uint64_t h = 0;
+  auto fold = [&h](uint64_t v) { h = Mix64(h ^ v); };
+  auto fold_sorted = [&fold](std::vector<uint64_t> keys) {
+    std::sort(keys.begin(), keys.end());
+    fold(keys.size());
+    for (uint64_t k : keys) fold(k);
+  };
+  std::vector<uint64_t> keys;
+  r.schedule.ForEachPush([&keys](const Edge& e) { keys.push_back(EdgeKey(e)); });
+  fold_sorted(std::move(keys));
+  keys.clear();
+  r.schedule.ForEachPull([&keys](const Edge& e) { keys.push_back(EdgeKey(e)); });
+  fold_sorted(std::move(keys));
+  keys.clear();
+  r.schedule.ForEachHubCover([&keys](const Edge& e, NodeId hub) {
+    keys.push_back(Mix64(EdgeKey(e)) ^ hub);
+  });
+  fold_sorted(std::move(keys));
+  fold(r.iterations.size());
+  for (const NosyIterationStats& it : r.iterations) {
+    fold(it.candidates);
+    fold(it.lock_requests);
+    fold(it.applied);
+    fold(it.edges_covered);
+    fold(std::bit_cast<uint64_t>(it.cost_after));
+  }
+  fold(r.converged ? 1 : 0);
+  fold(std::bit_cast<uint64_t>(r.final_cost));
+  return h;
+}
+
+// Pins the plan bit for bit: the digests were recorded from the
+// hash-set implementation of the planner, so any rewrite of its inner loops
+// must reproduce the same schedules, iteration rows and costs. Every
+// executor (sequential, MapReduce at 1, 2 and 4 threads) must agree.
+TEST(ParallelNosyTest, PlanMatchesParentDigest) {
+  struct Config {
+    const char* name;
+    size_t max_hub_producers;
+    bool randomized_tie_break;
+  };
+  const Config kConfigs[] = {{"default", 100000, false},
+                             {"max_hub_producers=2", 2, false},
+                             {"randomized_tie_break", 100000, true}};
+  const Graph graphs[] = {MakeFlickrLike(2000, 29).ValueOrDie(),
+                          MakeTwitterLike(2000, 31).ValueOrDie()};
+  const uint64_t kExpected[2][3] = {
+      {0xada0ef5b2027048bULL, 0xeb9d1690fd79b8f3ULL, 0x10988cb6bdc7693fULL},
+      {0xcd1d7a38c40a0ffaULL, 0x0e3852713be00794ULL, 0x4311461c7a920563ULL}};
+  for (size_t gi = 0; gi < 2; ++gi) {
+    const Graph& g = graphs[gi];
+    Workload w = GenerateWorkload(g, {}).ValueOrDie();
+    for (size_t ci = 0; ci < 3; ++ci) {
+      SCOPED_TRACE(std::string(gi == 0 ? "flickr " : "twitter ") + kConfigs[ci].name);
+      ParallelNosyOptions opt;
+      opt.max_hub_producers = kConfigs[ci].max_hub_producers;
+      opt.randomized_tie_break = kConfigs[ci].randomized_tie_break;
+      opt.use_mapreduce = false;
+      const uint64_t digest = PlanDigest(RunParallelNosy(g, w, opt).ValueOrDie());
+      EXPECT_EQ(digest, kExpected[gi][ci]);
+      opt.use_mapreduce = true;
+      for (size_t threads : {1, 2, 4}) {
+        opt.num_threads = threads;
+        EXPECT_EQ(PlanDigest(RunParallelNosy(g, w, opt).ValueOrDie()), digest)
+            << threads << " threads";
+      }
+    }
+  }
 }
 
 // Property sweep across read/write ratios and seeds.

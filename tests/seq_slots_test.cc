@@ -178,12 +178,20 @@ TEST(SeqSlotsTest, LockFreeReadersNeverSeeTornHistories) {
     };
     std::atomic<uint64_t> bad{0};
     std::atomic<uint64_t> reads{0};
+    // Readers that have finished their first read. Writers hold back their
+    // second half of inserts until every reader has read once, so reads and
+    // writes overlap for certain: even at depth 1 a writer cannot finish
+    // before the readers have started.
+    std::atomic<size_t> readers_started{0};
     std::vector<std::thread> threads;
     // One writer per slot: the caller's stripe serializes a slot's writers.
     for (size_t h = 0; h < kHot; ++h) {
       threads.emplace_back([&, h] {
         start();
         for (uint64_t pair = 1; pair <= kPairs; ++pair) {
+          if (pair == kPairs / 2 + 1) {
+            while (readers_started.load() < kReaders) std::this_thread::yield();
+          }
           slots.Insert(hot[h], 2 * pair);
           slots.Insert(hot[h], 2 * pair - 1);  // drawn earlier, lands later
         }
@@ -196,6 +204,7 @@ TEST(SeqSlotsTest, LockFreeReadersNeverSeeTornHistories) {
         std::vector<uint64_t> out(depth);
         std::vector<uint64_t> newest(kHot, 0);
         size_t i = r;
+        bool first = true;
         while (writers_left.load() > 0) {
           const size_t h = i++ % kHot;
           const size_t n = slots.Read(hot[h], out.data());
@@ -208,6 +217,10 @@ TEST(SeqSlotsTest, LockFreeReadersNeverSeeTornHistories) {
           }
           newest[h] = last;
           reads.fetch_add(1, std::memory_order_relaxed);
+          if (first) {
+            first = false;
+            readers_started.fetch_add(1);
+          }
         }
       });
     }

@@ -109,34 +109,23 @@ TEST(SimdDispatchTest, SetTierClampsToHardware) {
   simd::SetTierForTest(simd::MaxSupportedTier());
 }
 
-TEST(SimdIntersectTest, ValuesMatchScalarOnEveryTier) {
+TEST(SimdIntersectTest, PairsMatchForEachSortedIntersection) {
+  // The kernel contract is literally "ForEachSortedIntersection collecting
+  // (ia, ib)".
   for (const SetPairCase& c : IntersectionCases()) {
-    std::vector<NodeId> expect;
-    {
-      TierGuard guard(simd::Tier::kScalar);
-      simd::IntersectSortedInto(c.a, c.b, &expect);
-    }
-    for (simd::Tier tier : TestableTiers()) {
-      TierGuard guard(tier);
-      std::vector<NodeId> got;
-      simd::IntersectSortedInto(c.a, c.b, &got);
-      EXPECT_EQ(got, expect) << c.name << " @ " << simd::TierName(tier);
-    }
-  }
-}
-
-TEST(SimdIntersectTest, ValuesMatchForEachSortedIntersection) {
-  // The kernel contract is literally "ForEachSortedIntersection collecting v".
-  for (const SetPairCase& c : IntersectionCases()) {
-    std::vector<NodeId> reference;
+    std::vector<std::pair<size_t, size_t>> reference;
     ForEachSortedIntersection(std::span<const NodeId>(c.a),
                               std::span<const NodeId>(c.b),
-                              [&](NodeId v, size_t, size_t) { reference.push_back(v); });
+                              [&](NodeId, size_t ia, size_t ib) {
+                                reference.emplace_back(ia, ib);
+                              });
     for (simd::Tier tier : TestableTiers()) {
       TierGuard guard(tier);
-      std::vector<NodeId> got;
-      simd::IntersectSortedInto(c.a, c.b, &got);
-      EXPECT_EQ(got, reference) << c.name << " @ " << simd::TierName(tier);
+      std::vector<simd::IndexPair> got;
+      simd::IntersectSortedPairsInto(c.a, c.b, &got);
+      std::vector<std::pair<size_t, size_t>> positions;
+      for (const simd::IndexPair& pr : got) positions.emplace_back(pr.ia, pr.ib);
+      EXPECT_EQ(positions, reference) << c.name << " @ " << simd::TierName(tier);
     }
   }
 }

@@ -30,6 +30,7 @@
 #include <memory>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "cluster/cluster_service.h"
 #include "core/piggy.h"
@@ -44,6 +45,7 @@
 #include "store/partitioner.h"
 #include "util/logging.h"
 #include "util/string_util.h"
+#include "util/timer.h"
 
 namespace piggy {
 namespace {
@@ -421,8 +423,34 @@ Status CmdOptimize(const Args& args) {
   PlanContext ctx;
   ctx.num_threads = static_cast<size_t>(args.Int("threads", 0));
   ctx.deadline_seconds = args.Double("deadline", 0.0);
+  // Wall seconds per plan phase, summed over the plan:* spans the tracer
+  // folds the progress reports into. NOSY emits at most five spans per
+  // iteration; a ring that wraps is reported on the phase line.
+  obs::TraceLog trace(size_t{1} << 16);
+  obs::PlanPhaseTracer tracer(&trace, -1);
+  ctx.progress = [&tracer](const PlanProgress& p) { tracer.Observe(p); };
 
+  WallTimer plan_timer;
   PIGGY_ASSIGN_OR_RETURN(PlanResult plan, planner->Plan(g, w, ctx));
+  tracer.Close();
+  const double plan_s = plan_timer.Seconds();
+  std::vector<std::pair<std::string, double>> phase_s;  // first-seen order
+  for (const obs::TraceEvent& ev : trace.Events()) {
+    const std::string phase = ev.name.substr(std::strlen("plan:"));
+    auto it = std::find_if(phase_s.begin(), phase_s.end(),
+                           [&phase](const auto& entry) { return entry.first == phase; });
+    if (it == phase_s.end()) it = phase_s.emplace(phase_s.end(), phase, 0.0);
+    it->second += ev.dur_us * 1e-6;
+  }
+  std::string phase_line;
+  for (const auto& [phase, seconds] : phase_s) {
+    phase_line += StrFormat(" %s %.3f", phase.c_str(), seconds);
+  }
+  if (trace.dropped() > 0) {
+    phase_line += StrFormat(" (oldest %llu phases dropped)",
+                            static_cast<unsigned long long>(trace.dropped()));
+  }
+  std::printf("plan %.3f s, phases (s):%s\n", plan_s, phase_line.c_str());
   if (!plan.stats_text.empty()) std::printf("%s\n", plan.stats_text.c_str());
 
   PIGGY_RETURN_NOT_OK(ValidateSchedule(g, plan.schedule));
