@@ -21,48 +21,49 @@ noise.
 Baselines may be raw google-benchmark output or a combined BENCH_PR*.json
 object that nests it under the "bench_micro_algorithms" key.
 
-With --serving, both files are instead bench_fig11_serving JSON (an array of
-row objects, or a BENCH_PR*.json wrapper with a "bench_fig11_serving" key).
-Rows are matched on (service, mode, threads, shards); ops_per_sec on the
-mode=steady rows is the blocking metric (a drop beyond --block-threshold
-fails), while replan-mode rows and tail latency are reported as advisory:
+With --serving, each file is a saved perfbench/run.py stdout or a perfbench
+pin (the change_median of its row == "pairs" entries), compared per workload.
+The run must be correct with no failed operations, msgs_per_req and
+cost_ratio must stay within BENCHMARK.json's bounds, and ops_per_s may drop
+by at most --block-threshold; that last check is advisory unless both runs
+had the same nproc. A baseline metric missing from the run fails; other
+deltas are advisory:
 
   python3 scripts/check_bench_regression.py --serving \
-      --baseline BENCH_PR6.json \
-      --current build/bench_fig11_serving.json --block-threshold 0.50
+      --baseline BENCH_PR29.json \
+      --current perfbench-cluster-wal.out --block-threshold 0.50
 
-With --recovery, both files are bench_fig12_recovery JSON (an array of row
-objects, or a BENCH_PR*.json wrapper with a "bench_fig12_recovery" key). Rows
-are matched on (service, ops, snapshot_every) and recover_ms / replayed_ops
-deltas are printed. The recovery gate is purely *advisory* — recovery wall
-time is dominated by replan cost, which varies wildly across hosts — except
-that a baseline row missing from the current run exits 1 (the bench silently
-lost coverage):
+The remaining modes read a figure harness's JSON: an array of row objects,
+or a BENCH_PR*.json wrapper nesting it under the harness name.
+
+With --recovery, both files are bench_fig12_recovery JSON. Rows are matched
+on (service, ops, snapshot_every) and recover_ms / replayed_ops deltas are
+printed. The recovery gate is purely *advisory* — recovery wall time is
+dominated by replan cost, which varies wildly across hosts — except that a
+baseline row missing from the current run exits 1 (the bench silently lost
+coverage):
 
   python3 scripts/check_bench_regression.py --recovery \
       --baseline BENCH_PR7.json \
       --current build/bench_fig12_recovery.json
 
-With --rebalance, both files are bench_fig13_rebalance JSON (an array of row
-objects, or a BENCH_PR*.json wrapper with a "bench_fig13_rebalance" key).
-The total rows are matched on (scenario, mode) and cross-message / tail
-imbalance deltas are printed. All numeric deltas are advisory — CI replays a
-smaller graph than the checked-in baseline, so absolute counts differ by
-design — but a baseline (scenario, mode) row missing from the current run
-exits 1 (the sweep silently lost a scenario). The rebalance-beats-static
-assertion itself lives in the CI workflow, where it runs against the
-current-scale numbers:
+With --rebalance, both files are bench_fig13_rebalance JSON. The total rows
+are matched on (scenario, mode) and cross-message / tail imbalance deltas
+are printed. All numeric deltas are advisory — CI replays a smaller graph
+than the checked-in baseline, so absolute counts differ by design — but a
+baseline (scenario, mode) row missing from the current run exits 1 (the
+sweep silently lost a scenario). The rebalance-beats-static assertion itself
+lives in the CI workflow, where it runs against the current-scale numbers:
 
   python3 scripts/check_bench_regression.py --rebalance \
       --baseline BENCH_PR8.json \
       --current build/bench_fig13_rebalance.json
 
-With --scale, both files are bench_fig14_scale JSON (an array of row
-objects, or a BENCH_PR*.json wrapper with a "bench_fig14_scale" key). Rows
-are matched on `row` (plan, serve). A baseline row missing from the
-current run fails (the bench silently lost a phase). Ops_per_sec and
-bytes_per_edge deltas against the baseline are advisory — CI smoke runs a
-smaller graph than the checked-in 1M-node reference by design:
+With --scale, both files are bench_fig14_scale JSON. Rows are matched on
+`row` (plan, serve). A baseline row missing from the current run fails (the
+bench silently lost a phase). Ops_per_sec and bytes_per_edge deltas against
+the baseline are advisory — CI smoke runs a smaller graph than the
+checked-in 1M-node reference by design:
 
   python3 scripts/check_bench_regression.py --scale \
       --baseline BENCH_PR10.json \
@@ -71,6 +72,7 @@ smaller graph than the checked-in 1M-node reference by design:
 
 import argparse
 import json
+import os
 import sys
 
 
@@ -97,84 +99,125 @@ def in_family(run_name, family):
     return run_name == family or run_name.startswith(family + "/")
 
 
-def load_serving(path):
-    """Returns {(service, mode, threads, shards): row} from bench_fig11_serving
-    JSON (a bare array of row objects) or a BENCH_PR*.json wrapper."""
+def load_rows(path, harness, key, keep=lambda row: True):
+    """Returns {key(row): row} over the rows of a figure harness's JSON."""
     with open(path) as f:
         doc = json.load(f)
     if isinstance(doc, dict):
-        doc = doc.get("bench_fig11_serving")
+        doc = doc.get(harness)
     if not isinstance(doc, list) or not doc:
-        raise ValueError(f"{path}: no bench_fig11_serving rows")
-    out = {}
-    for row in doc:
-        key = (row["service"], row["mode"], int(row["threads"]),
-               int(row["shards"]))
-        out[key] = row
-    return out
+        raise ValueError(f"{path}: no {harness} rows")
+    return {key(row): row for row in doc if keep(row)}
+
+
+def shared_keys(baseline, current, what, args):
+    """Sorted keys present in both files; prints an error when none are."""
+    shared = sorted(set(baseline) & set(current))
+    if not shared:
+        print(f"error: no common {what} between {args.baseline} and "
+              f"{args.current}", file=sys.stderr)
+    return shared
+
+
+def row_name(key):
+    return key if isinstance(key, str) else "/".join(str(k) for k in key)
+
+
+def coverage_lost(missing, args):
+    """Prints a FAIL line per baseline row missing from the current run and
+    returns whether there was one."""
+    for key in missing:
+        print(f"FAIL: baseline row {row_name(key)} missing from "
+              f"{args.current}", file=sys.stderr)
+    return bool(missing)
+
+
+# Host-independent end-to-end metrics: they block at BENCHMARK.json's bound.
+HOST_FREE_METRICS = ("msgs_per_req", "cost_ratio")
+BENCHMARK_JSON = os.path.join(os.path.dirname(__file__), "..", "BENCHMARK.json")
+
+
+def load_perfbench(path):
+    """Returns {workload: (correct, failed, nproc, {metric: value})} from a
+    saved perfbench/run.py stdout or a perfbench pin."""
+    with open(path) as f:
+        text = f.read()
+    if text.lstrip().startswith("["):  # a pin: one row per (workload, metric)
+        runs = {}
+        for row in json.loads(text):
+            if row.get("row") == "pairs":
+                ok, failed, _, metrics = runs.get(row["workload"],
+                                                  (True, 0, None, {}))
+                metrics[row["metric"]] = float(row["change_median"])
+                runs[row["workload"]] = (ok and row.get("correct") is True,
+                                         failed + int(row.get("failed", 0)),
+                                         row.get("nproc"), metrics)
+        if not runs:
+            raise ValueError(f"{path}: no perfbench 'pairs' rows")
+        return runs
+    lines = text.strip().splitlines()
+    contexts = [line for line in lines if line.startswith("# context ")]
+    if not contexts:
+        raise ValueError(f"{path}: no '# context' line (perfbench stdout?)")
+    context = json.loads(contexts[-1][len("# context "):])
+    result = json.loads(lines[-1])
+    metrics = {name: float(m["value"])
+               for name, m in result.get("metrics", {}).items()}
+    return {context["workload"]: (result.get("correct") is True,
+                                  int(result.get("failed", 0)),
+                                  context.get("nproc"), metrics)}
 
 
 def check_serving(args):
-    """Serving-plane gate: throughput per (service, mode, threads, shards).
+    """Serving gate over perfbench end-to-end metrics. Throughput blocks
+    only at the baseline's core count: on another it says more about the
+    host than the code."""
+    with open(BENCHMARK_JSON) as f:
+        end_to_end = json.load(f)["end_to_end"]
+    baseline = load_perfbench(args.baseline)
+    current = load_perfbench(args.current)
+    shared = shared_keys(baseline, current, "perfbench workloads", args)
+    failures = []
+    for workload in shared:
+        _, _, base_nproc, base = baseline[workload]
+        correct, failed, nproc, cur = current[workload]
+        print(f"== {workload} (nproc {base_nproc} -> {nproc})")
+        if not correct or failed != 0:
+            failures.append(f"{workload}: correct={correct} failed={failed}")
+            continue
+        print(f"{'metric':14s} {'baseline':>14s} {'current':>14s} "
+              f"{'worse by':>9s} {'bound':>6s}")
+        for m in end_to_end:
+            metric, bound = m["name"], float(m["bound"])
+            blocking = metric in HOST_FREE_METRICS
+            if metric == "ops_per_s":
+                bound, blocking = args.block_threshold, nproc == base_nproc
+            if metric not in base:
+                continue
+            if metric not in cur:
+                failures.append(f"{workload}: {metric} missing")
+                continue
+            b, c = base[metric], cur[metric]
+            worse = (c - b) / b if m["better"] == "lower" else (b - c) / b
+            flag = ""
+            if worse > bound and blocking:
+                flag = " <-- BLOCKING"
+                failures.append(f"{workload}: {metric} worse by {worse:.1%} "
+                                f"(> {bound:.0%})")
+            elif worse > bound and metric == "ops_per_s":
+                flag = (f" (advisory: nproc {nproc} here, {base_nproc} in "
+                        f"the baseline)")
+            elif worse > bound:
+                flag = " (advisory)"
+            print(f"{metric:14s} {b:14.6g} {c:14.6g} {worse:+8.1%} "
+                  f"{bound:6.0%}{flag}")
 
-    Unlike the wall-time gate, ops_per_sec is higher-is-better, so the
-    regression fraction is the *drop* relative to the baseline. Only
-    mode=steady rows block: replan-mode throughput depends on how the
-    scheduler interleaves the churn thread with the clients (on a single-core
-    host it spans two orders of magnitude run to run), so those rows — and
-    tail latency everywhere — are advisory.
-    """
-    baseline = load_serving(args.baseline)
-    current = load_serving(args.current)
-    shared = sorted(set(baseline) & set(current))
-    if not shared:
-        print(f"error: no common serving rows between {args.baseline} and "
-              f"{args.current}", file=sys.stderr)
+    for failure in failures:
+        print(f"FAIL: {failure}", file=sys.stderr)
+    if failures or not shared:
         return 1
-
-    blocking_failures = []
-    print(f"{'service/mode/threads/shards':34s} {'base ops/s':>12s} "
-          f"{'cur ops/s':>12s} {'delta':>8s}  p99(q) us")
-    for key in shared:
-        base, cur = baseline[key], current[key]
-        base_ops = float(base["ops_per_sec"])
-        cur_ops = float(cur["ops_per_sec"])
-        drop = (base_ops - cur_ops) / base_ops if base_ops > 0 else 0.0
-        blocking = key[1] == "steady"
-        flag = ""
-        if drop > args.block_threshold:
-            flag = " <-- BLOCKING" if blocking else " (advisory)"
-            if blocking:
-                blocking_failures.append((key, drop))
-        name = "/".join(str(k) for k in key)
-        print(f"{name:34s} {base_ops:12.0f} {cur_ops:12.0f} {-drop:+7.1%}  "
-              f"{float(base['query_p99_us']):.0f} -> "
-              f"{float(cur['query_p99_us']):.0f}{flag}")
-
-    if blocking_failures:
-        for key, drop in blocking_failures:
-            print(f"FAIL: {'/'.join(str(k) for k in key)} throughput dropped "
-                  f"{drop:.1%} (> {args.block_threshold:.0%})", file=sys.stderr)
-        return 1
-    print(f"OK: serving throughput within -{args.block_threshold:.0%} of "
-          f"baseline on {len(shared)} row(s)")
+    print(f"OK: serving gate passed on {len(shared)} workload(s)")
     return 0
-
-
-def load_recovery(path):
-    """Returns {(service, ops, snapshot_every): row} from bench_fig12_recovery
-    JSON (a bare array of row objects) or a BENCH_PR*.json wrapper."""
-    with open(path) as f:
-        doc = json.load(f)
-    if isinstance(doc, dict):
-        doc = doc.get("bench_fig12_recovery")
-    if not isinstance(doc, list) or not doc:
-        raise ValueError(f"{path}: no bench_fig12_recovery rows")
-    out = {}
-    for row in doc:
-        key = (row["service"], int(row["ops"]), int(row["snapshot_every"]))
-        out[key] = row
-    return out
 
 
 def check_recovery(args):
@@ -188,8 +231,10 @@ def check_recovery(args):
     from the current run means the bench stopped exercising that
     configuration.
     """
-    baseline = load_recovery(args.baseline)
-    current = load_recovery(args.current)
+    def key(row):
+        return (row["service"], int(row["ops"]), int(row["snapshot_every"]))
+    baseline = load_rows(args.baseline, "bench_fig12_recovery", key)
+    current = load_rows(args.current, "bench_fig12_recovery", key)
     # CI sweeps a subset of the baseline grid (smaller --ops / --snapshots),
     # so only baseline rows whose op count AND cadence were requested in the
     # current run count as expected: a missing one means a service silently
@@ -199,10 +244,8 @@ def check_recovery(args):
     expected = {k for k in baseline
                 if k[1] in cur_ops and k[2] in cur_cadences}
     missing = sorted(expected - set(current))
-    shared = sorted(set(baseline) & set(current))
+    shared = shared_keys(baseline, current, "recovery rows", args)
     if not shared:
-        print(f"error: no common recovery rows between {args.baseline} and "
-              f"{args.current}", file=sys.stderr)
         return 1
 
     print(f"{'service/ops/snapshot_every':28s} {'base ms':>10s} "
@@ -213,36 +256,16 @@ def check_recovery(args):
         cur_ms = float(cur["recover_ms"])
         delta = (cur_ms - base_ms) / base_ms if base_ms > 0 else 0.0
         flag = " (advisory)" if delta > args.block_threshold else ""
-        name = "/".join(str(k) for k in key)
-        print(f"{name:28s} {base_ms:10.1f} {cur_ms:10.1f} {delta:+7.1%}  "
+        print(f"{row_name(key):28s} {base_ms:10.1f} {cur_ms:10.1f} "
+              f"{delta:+7.1%}  "
               f"{int(base['replayed_ops'])} -> {int(cur['replayed_ops'])}"
               f"{flag}")
 
-    if missing:
-        for key in missing:
-            print(f"FAIL: baseline row {'/'.join(str(k) for k in key)} "
-                  f"missing from {args.current}", file=sys.stderr)
+    if coverage_lost(missing, args):
         return 1
     print(f"OK: recovery rows covered ({len(shared)}); timing deltas are "
           f"advisory")
     return 0
-
-
-def load_rebalance(path):
-    """Returns {(scenario, mode): total row} from bench_fig13_rebalance JSON
-    (a bare array of row objects) or a BENCH_PR*.json wrapper."""
-    with open(path) as f:
-        doc = json.load(f)
-    if isinstance(doc, dict):
-        doc = doc.get("bench_fig13_rebalance")
-    if not isinstance(doc, list) or not doc:
-        raise ValueError(f"{path}: no bench_fig13_rebalance rows")
-    out = {}
-    for row in doc:
-        if row.get("row") != "total":
-            continue
-        out[(row["scenario"], row["mode"])] = row
-    return out
 
 
 def check_rebalance(args):
@@ -256,44 +279,29 @@ def check_rebalance(args):
     failure is coverage loss — a baseline (scenario, mode) row missing from
     the current run means the sweep stopped exercising that combination.
     """
-    baseline = load_rebalance(args.baseline)
-    current = load_rebalance(args.current)
+    def load(path):
+        return load_rows(path, "bench_fig13_rebalance",
+                         lambda row: (row["scenario"], row["mode"]),
+                         lambda row: row.get("row") == "total")
+    baseline, current = load(args.baseline), load(args.current)
     missing = sorted(set(baseline) - set(current))
-    shared = sorted(set(baseline) & set(current))
+    shared = shared_keys(baseline, current, "rebalance rows", args)
     if not shared:
-        print(f"error: no common rebalance rows between {args.baseline} and "
-              f"{args.current}", file=sys.stderr)
         return 1
 
     print(f"{'scenario/mode':28s} {'base cross':>11s} {'cur cross':>11s} "
           f"{'tail imb':>16s}  moved")
     for key in shared:
         base, cur = baseline[key], current[key]
-        name = "/".join(str(k) for k in key)
-        print(f"{name:28s} {float(base['cross_msgs']):11.0f} "
+        print(f"{row_name(key):28s} {float(base['cross_msgs']):11.0f} "
               f"{float(cur['cross_msgs']):11.0f} "
               f"{float(base['imbalance']):7.3f} -> {float(cur['imbalance']):.3f}"
               f"  {int(base['moved'])} -> {int(cur['moved'])}")
 
-    if missing:
-        for key in missing:
-            print(f"FAIL: baseline row {'/'.join(str(k) for k in key)} "
-                  f"missing from {args.current}", file=sys.stderr)
+    if coverage_lost(missing, args):
         return 1
     print(f"OK: rebalance rows covered ({len(shared)}); deltas are advisory")
     return 0
-
-
-def load_scale(path):
-    """Returns {row: row object} from bench_fig14_scale JSON (a bare array of
-    row objects) or a BENCH_PR*.json wrapper."""
-    with open(path) as f:
-        doc = json.load(f)
-    if isinstance(doc, dict):
-        doc = doc.get("bench_fig14_scale")
-    if not isinstance(doc, list) or not doc:
-        raise ValueError(f"{path}: no bench_fig14_scale rows")
-    return {row["row"]: row for row in doc}
 
 
 def check_scale(args):
@@ -304,13 +312,12 @@ def check_scale(args):
     baseline row missing from the current run fails: the bench silently
     lost a phase.
     """
-    baseline = load_scale(args.baseline)
-    current = load_scale(args.current)
+    def load(path):
+        return load_rows(path, "bench_fig14_scale", lambda row: row["row"])
+    baseline, current = load(args.baseline), load(args.current)
     missing = sorted(set(baseline) - set(current))
-    shared = sorted(set(baseline) & set(current))
+    shared = shared_keys(baseline, current, "scale rows", args)
     if not shared:
-        print(f"error: no common scale rows between {args.baseline} and "
-              f"{args.current}", file=sys.stderr)
         return 1
 
     print(f"{'row':8s} {'base ops/s':>12s} {'cur ops/s':>12s} "
@@ -324,10 +331,7 @@ def check_scale(args):
               f"{float(base['wall_s']):.1f} -> {float(cur['wall_s']):.1f}"
               f"  (deltas advisory)")
 
-    if missing:
-        for key in missing:
-            print(f"FAIL: baseline row {key} missing from {args.current}",
-                  file=sys.stderr)
+    if coverage_lost(missing, args):
         return 1
     print(f"OK: scale rows covered ({len(shared)}); deltas are advisory")
     return 0
@@ -342,8 +346,8 @@ def main():
     parser.add_argument("--block-threshold", type=float, default=0.30,
                         help="blocking regression fraction (0.30 = +30%%)")
     parser.add_argument("--serving", action="store_true",
-                        help="compare bench_fig11_serving rows instead of "
-                             "google-benchmark wall times")
+                        help="compare perfbench end-to-end metrics (stdout "
+                             "or pin) instead of google-benchmark wall times")
     parser.add_argument("--recovery", action="store_true",
                         help="compare bench_fig12_recovery rows (advisory "
                              "except for missing-row coverage)")
@@ -355,22 +359,17 @@ def main():
                              "except for missing-row coverage)")
     args = parser.parse_args()
 
-    if args.serving:
-        return check_serving(args)
-    if args.recovery:
-        return check_recovery(args)
-    if args.rebalance:
-        return check_rebalance(args)
-    if args.scale:
-        return check_scale(args)
+    for mode, check in (("serving", check_serving),
+                        ("recovery", check_recovery),
+                        ("rebalance", check_rebalance), ("scale", check_scale)):
+        if getattr(args, mode):
+            return check(args)
 
     baseline = load_benchmarks(args.baseline)
     current = load_benchmarks(args.current)
 
-    shared = sorted(set(baseline) & set(current))
+    shared = shared_keys(baseline, current, "benchmarks", args)
     if not shared:
-        print(f"error: no common benchmarks between {args.baseline} and "
-              f"{args.current}", file=sys.stderr)
         return 1
 
     blocking_failures = []

@@ -25,6 +25,27 @@ CrossEdgeMode DecideMode(const Workload& w, NodeId producer, NodeId consumer) {
                                           : CrossEdgeMode::kPull;
 }
 
+// Runs fn(i) -> Status for every i < n on a pool of up to n threads and
+// returns the first failure in index order, its message prefixed with
+// "<what> <shard>: ", where shard is ids[i] (or i when ids is null).
+template <typename Fn>
+Status ShardFanOut(size_t n, Fn fn, const char* what = "shard",
+                   const uint32_t* ids = nullptr) {
+  std::vector<Status> status(n);
+  {
+    ThreadPool pool(std::min(n, ThreadPool::DefaultThreads()));
+    ParallelFor(pool, n, [&](size_t i) { status[i] = fn(i); });
+  }
+  for (size_t i = 0; i < n; ++i) {
+    if (!status[i].ok()) {
+      const uint32_t shard = ids != nullptr ? ids[i] : static_cast<uint32_t>(i);
+      return Status(status[i].code(), StrFormat("%s %u: %s", what, shard,
+                                                status[i].message().c_str()));
+    }
+  }
+  return Status::OK();
+}
+
 // The node -> shard assignment, persisted at Create so Recover rebuilds the
 // exact placement (the partitioner may be randomized), and atomically
 // re-pointed by MigrateUsers (the rename IS the migration's durable commit):
@@ -280,37 +301,17 @@ Result<std::unique_ptr<ClusterService>> ClusterService::Create(
 
   // Every shard plans concurrently on its induced subgraph.
   cluster->shards_.resize(shards);
-  std::vector<Status> status(shards);
-  {
-    ThreadPool pool(std::min(shards, ThreadPool::DefaultThreads()));
-    ParallelFor(pool, shards, [&](size_t s) {
-      auto service = FeedService::Create(
-          subgraphs[s], std::move(locals[s]),
-          cluster->ShardOptions(static_cast<uint32_t>(s)));
-      if (service.ok()) {
-        cluster->shards_[s].service = std::move(service).MoveValueOrDie();
-      } else {
-        status[s] = service.status();
-      }
-    });
-  }
-  for (uint32_t s = 0; s < shards; ++s) {
-    if (!status[s].ok()) {
-      return Status(status[s].code(),
-                    StrFormat("shard %u: %s", s, status[s].message().c_str()));
-    }
-  }
+  PIGGY_RETURN_NOT_OK(ShardFanOut(shards, [&](size_t s) -> Status {
+    PIGGY_ASSIGN_OR_RETURN(
+        cluster->shards_[s].service,
+        FeedService::Create(subgraphs[s], std::move(locals[s]),
+                            cluster->ShardOptions(static_cast<uint32_t>(s))));
+    return Status::OK();
+  }));
 
-  // Hand every cross-shard edge to the router at the cheaper side. No events
-  // exist yet, so replica backfills are empty (and the backfill messages
-  // below are the one-off materialization cost, not steady-state traffic).
-  graph.ForEachEdge([&](const Edge& e) {
-    const uint32_t sp = cluster->map_.ShardOf(e.src);
-    const uint32_t sc = cluster->map_.ShardOf(e.dst);
-    if (sp == sc) return;
-    cluster->cross_.AddEdge(e.src, sp, e.dst, sc,
-                            DecideMode(cluster->workload_, e.src, e.dst));
-  });
+  // No events exist yet, so replica backfills are empty (and the backfill
+  // messages are the one-off materialization cost, not steady-state traffic).
+  cluster->IndexCrossEdges();
 
   // Snapshot 0 of the cluster pair: the initial rates + sequence counter
   // (the churn delta is empty, the shards own schedules and events). Opens
@@ -417,28 +418,15 @@ Result<std::unique_ptr<ClusterService>> ClusterService::Recover(
     }
   }
   cluster->shards_.resize(shards);
-  std::vector<Status> status(shards);
   std::vector<RecoveryStats> shard_stats(shards);
-  {
-    ThreadPool pool(std::min(shards, ThreadPool::DefaultThreads()));
-    ParallelFor(pool, shards, [&](size_t s) {
-      auto service =
-          FeedService::Recover(cluster->ShardOptions(static_cast<uint32_t>(s)),
-                               &shard_stats[s]);
-      if (service.ok()) {
-        cluster->shards_[s].service = std::move(service).MoveValueOrDie();
-      } else {
-        status[s] = service.status();
-      }
-    });
-  }
-  for (uint32_t s = 0; s < shards; ++s) {
-    if (!status[s].ok()) {
-      return Status(status[s].code(),
-                    StrFormat("shard %u: %s", s, status[s].message().c_str()));
-    }
-    stats.Accumulate(shard_stats[s]);
-  }
+  PIGGY_RETURN_NOT_OK(ShardFanOut(shards, [&](size_t s) -> Status {
+    PIGGY_ASSIGN_OR_RETURN(
+        cluster->shards_[s].service,
+        FeedService::Recover(cluster->ShardOptions(static_cast<uint32_t>(s)),
+                             &shard_stats[s]));
+    return Status::OK();
+  }));
+  for (const RecoveryStats& shard : shard_stats) stats.Accumulate(shard);
 
   // Share histories + the global sequence counter, rebuilt from the
   // recovered shard event logs (shares were routed with explicit seqs, so
@@ -457,18 +445,11 @@ Result<std::unique_ptr<ClusterService>> ClusterService::Recover(
   cluster->next_seq_.store(std::max<uint64_t>(max_seq + 1, 1),
                            std::memory_order_seq_cst);
 
-  // Cross-shard index: every cross edge of the recovered graph goes back to
-  // the router at the side the recovered rates prefer; push replicas
-  // backfill from the rebuilt histories. (Push/pull placement only shapes
-  // message accounting — merged feed contents are mode-independent, so a
-  // rate shift flipping a mode across the crash cannot change any feed.)
-  cluster->graph_.ForEachEdge([&](const Edge& e) {
-    const uint32_t sp = cluster->map_.ShardOf(e.src);
-    const uint32_t sc = cluster->map_.ShardOf(e.dst);
-    if (sp == sc) return;
-    cluster->cross_.AddEdge(e.src, sp, e.dst, sc,
-                            DecideMode(cluster->workload_, e.src, e.dst));
-  });
+  // Push replicas backfill from the rebuilt histories. (Push/pull placement
+  // only shapes message accounting — merged feed contents are
+  // mode-independent, so a rate shift flipping a mode across the crash
+  // cannot change any feed.)
+  cluster->IndexCrossEdges();
 
   // Replay the cluster WAL tail through the public API. Records whose shard
   // forward survived the crash heal as no-ops; records the crash cut off
@@ -705,14 +686,18 @@ Status ClusterService::AuditMerged(NodeId u,
 
 Status ClusterService::ApplyChurnLocked() {
   ++churn_ops_;
+  return MaybeSnapshotLocked();
+}
+
+Status ClusterService::MaybeSnapshotLocked() {
   // During WAL replay snapshots don't rotate mid-recovery.
-  if (replaying_) return Status::OK();
-  if (durability_ != nullptr && options_.durability.snapshot_every > 0 &&
-      durability_->records_since_snapshot() >=
+  if (replaying_ || durability_ == nullptr ||
+      options_.durability.snapshot_every == 0 ||
+      durability_->records_since_snapshot() <
           options_.durability.snapshot_every) {
-    return WriteSnapshotLocked();
+    return Status::OK();
   }
-  return Status::OK();
+  return WriteSnapshotLocked();
 }
 
 Status ClusterService::Follow(NodeId follower, NodeId producer) {
@@ -803,13 +788,7 @@ Status ClusterService::SetUserRates(NodeId u, double production,
     migration_journal_.push_back(MigrationJournalEntry{
         MigrationJournalEntry::Kind::kRate, u, 0, production, consumption});
   }
-  if (durability_ != nullptr && !replaying_ &&
-      options_.durability.snapshot_every > 0 &&
-      durability_->records_since_snapshot() >=
-          options_.durability.snapshot_every) {
-    return WriteSnapshotLocked();
-  }
-  return Status::OK();
+  return MaybeSnapshotLocked();
 }
 
 Status ClusterService::KillShard(uint32_t s) {
@@ -869,6 +848,15 @@ bool ClusterService::IsShardDown(uint32_t s) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
   PIGGY_CHECK_LT(s, down_.size());
   return down_[s] != 0;
+}
+
+void ClusterService::IndexCrossEdges() {
+  graph_.ForEachEdge([&](const Edge& e) {
+    const uint32_t sp = map_.ShardOf(e.src);
+    const uint32_t sc = map_.ShardOf(e.dst);
+    if (sp == sc) return;
+    cross_.AddEdge(e.src, sp, e.dst, sc, DecideMode(workload_, e.src, e.dst));
+  });
 }
 
 void ClusterService::RepairCrossEdges(const std::vector<NodeId>& moved_users) {
@@ -1006,51 +994,33 @@ Status ClusterService::MigrateUsers(const std::vector<UserMove>& moves) {
   // each rebuild writes the next generation directory — migrated users' WAL
   // records land in the destination shard's own log. ------------------------
   std::vector<std::unique_ptr<FeedService>> rebuilt(affected.size());
-  std::vector<Status> status(affected.size());
-  {
-    ThreadPool pool(std::min(affected.size(), ThreadPool::DefaultThreads()));
-    ParallelFor(pool, affected.size(), [&](size_t i) {
-      const uint32_t s = affected[i];
-      const FeedServiceOptions opts = ShardOptionsForGen(s, build_gen[i]);
-      if (opts.durability.enabled()) {
-        // A crashed earlier migration may have left this generation behind
-        // (Create refuses a non-empty directory).
-        std::error_code ec;
-        std::filesystem::remove_all(opts.durability.data_dir, ec);
-      }
-      auto subgraph = new_map->InducedSubgraph(frozen_graph, s);
-      if (!subgraph.ok()) {
-        status[i] = subgraph.status();
-        return;
-      }
-      auto service =
-          FeedService::Create(subgraph.ValueOrDie(),
-                              new_map->ProjectWorkload(frozen_workload, s),
-                              opts);
-      if (!service.ok()) {
-        status[i] = service.status();
-        return;
-      }
-      rebuilt[i] = std::move(service).MoveValueOrDie();
-      // Seed the frozen histories under their original global seqs — feeds
-      // keep their cluster-wide order, and the events are WAL-logged into
-      // the destination's own directory.
-      const std::vector<NodeId>& members = new_map->Members(s);
-      for (size_t l = 0; l < members.size(); ++l) {
-        for (uint64_t seq : seeds[i][l]) {
-          status[i] = rebuilt[i]->Share(static_cast<NodeId>(l), seq);
-          if (!status[i].ok()) return;
-        }
-      }
-    });
-  }
-  for (size_t i = 0; i < affected.size(); ++i) {
-    if (!status[i].ok()) {
-      return abort(Status(status[i].code(),
-                          StrFormat("rebuilding shard %u: %s", affected[i],
-                                    status[i].message().c_str())));
+  const Status built = ShardFanOut(affected.size(), [&](size_t i) -> Status {
+    const uint32_t s = affected[i];
+    const FeedServiceOptions opts = ShardOptionsForGen(s, build_gen[i]);
+    if (opts.durability.enabled()) {
+      // A crashed earlier migration may have left this generation behind
+      // (Create refuses a non-empty directory).
+      std::error_code ec;
+      std::filesystem::remove_all(opts.durability.data_dir, ec);
     }
-  }
+    PIGGY_ASSIGN_OR_RETURN(Graph subgraph,
+                           new_map->InducedSubgraph(frozen_graph, s));
+    PIGGY_ASSIGN_OR_RETURN(
+        rebuilt[i],
+        FeedService::Create(subgraph,
+                            new_map->ProjectWorkload(frozen_workload, s), opts));
+    // Seed the frozen histories under their original global seqs — feeds
+    // keep their cluster-wide order, and the events are WAL-logged into
+    // the destination's own directory.
+    const std::vector<NodeId>& members = new_map->Members(s);
+    for (size_t l = 0; l < members.size(); ++l) {
+      for (uint64_t seq : seeds[i][l]) {
+        PIGGY_RETURN_NOT_OK(rebuilt[i]->Share(static_cast<NodeId>(l), seq));
+      }
+    }
+    return Status::OK();
+  }, "rebuilding shard", affected.data());
+  if (!built.ok()) return abort(built);
 
   // --- Publish (exclusive): catch the rebuilt shards up on everything that
   // happened during the build, commit durably, then swap in memory. ---------
@@ -1230,22 +1200,10 @@ Status ClusterService::WriteSnapshotLocked() {
 
 Status ClusterService::Replan() {
   std::unique_lock<std::shared_mutex> lock(mu_);
-  const size_t shards = shards_.size();
-  std::vector<Status> status(shards);
-  {
-    ThreadPool pool(std::min(shards, ThreadPool::DefaultThreads()));
-    ParallelFor(pool, shards, [&](size_t s) {
-      if (shards_[s].service == nullptr) return;  // killed shard
-      status[s] = shards_[s].service->Replan();
-    });
-  }
-  for (uint32_t s = 0; s < shards; ++s) {
-    if (!status[s].ok()) {
-      return Status(status[s].code(),
-                    StrFormat("shard %u: %s", s, status[s].message().c_str()));
-    }
-  }
-  return Status::OK();
+  return ShardFanOut(shards_.size(), [&](size_t s) {
+    if (shards_[s].service == nullptr) return Status::OK();  // killed shard
+    return shards_[s].service->Replan();
+  });
 }
 
 Status ClusterService::StartBackgroundReplan() {

@@ -356,7 +356,13 @@ class ClusterService {
     return stripe_mu_[producer % kStripes];
   }
 
+  /// Counts one churn op, then rotates the snapshot if it is due.
   Status ApplyChurnLocked();
+
+  /// Rotates the cluster-level durability pair once snapshot_every records
+  /// have accumulated since the last one. No-op without durability and
+  /// during WAL replay. Requires mu_ held exclusively.
+  Status MaybeSnapshotLocked();
 
   /// Per-shard FeedService configuration: the shared shard options plus this
   /// shard's durability directory (and a single planner thread when the
@@ -366,6 +372,11 @@ class ClusterService {
   /// Same, pinned to an explicit directory generation (migration builds write
   /// the *next* generation while the current one keeps serving).
   FeedServiceOptions ShardOptionsForGen(uint32_t s, uint64_t gen) const;
+
+  /// Hands every cross-shard edge of graph_ to the router at the side the
+  /// current rates prefer, in canonical edge order. Used while the cluster
+  /// is not serving yet (Create, Recover).
+  void IndexCrossEdges();
 
   /// Re-derives the router's cross-edge state for every edge incident to a
   /// moved user after the ShardMap swap. Requires mu_ held exclusively.

@@ -12,7 +12,8 @@
 // in bucket floor(log(v/min) / log(ratio)) where ratio = (max/min)^(1/n).
 // Percentile() interpolates inside the covering bucket, so its error versus
 // the exact nearest-rank statistic (percentile.h) is bounded by one bucket
-// width — bench_fig11_serving asserts exactly that bound.
+// width (exact values outside [min, max) clamped to the range) —
+// HistogramTest.PercentileWithinOneBucketOfExact asserts exactly that bound.
 //
 // Registration (GetCounter / GetGauge / GetHistogram) takes a mutex and
 // returns a stable reference: register once at construction, cache the

@@ -3,10 +3,11 @@
 // Two estimators live here so every consumer agrees on the definition:
 //
 //  - NearestRankPercentile: the exact nearest-rank statistic over a raw
-//    sample vector (what the concurrent driver and benches report).
+//    sample vector (the reference the bucketed estimate is tested against).
 //  - Histogram::Percentile (metrics.h): the interpolated estimate from
 //    log-spaced buckets, whose error versus the exact value is bounded by
-//    one bucket width (asserted in bench_fig11_serving).
+//    one bucket width (asserted in obs_test,
+//    HistogramTest.PercentileWithinOneBucketOfExact).
 
 #pragma once
 

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <string>
@@ -73,7 +74,12 @@ TEST(HistogramTest, EmptyPercentileIsZero) {
 }
 
 // The interpolated percentile must land in the same bucket as the exact
-// nearest-rank statistic, i.e. within one (geometric) bucket width.
+// nearest-rank statistic, i.e. within one (geometric) bucket width. Samples
+// below min_value() or at/above max_value() fall into the underflow and
+// overflow slots, whose estimate is the range bound, so the exact value is
+// clamped to [min_value, max_value] before the comparison. Part of the load
+// is recorded from several threads at once, so the estimate is read off the
+// merged stripes.
 TEST(HistogramTest, PercentileWithinOneBucketOfExact) {
   Histogram h(0.5, 1e6, 96);
   Rng rng(7);
@@ -84,12 +90,44 @@ TEST(HistogramTest, PercentileWithinOneBucketOfExact) {
     samples.push_back(v);
     h.Record(v);
   }
-  for (double q : {0.5, 0.95, 0.99}) {
+  // Four recording threads, each with 5% of its samples under the range and
+  // 5% over it: enough that the exact p1 and p99 lie outside the range.
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 2500;
+  std::vector<std::vector<double>> recorded(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&h, &recorded, t] {
+      Rng trng(100 + static_cast<uint64_t>(t));
+      for (int i = 0; i < kPerThread; ++i) {
+        const double u = trng.UniformDouble();
+        double v = std::exp(trng.UniformDouble() * std::log(1e5)) * 0.8;
+        if (u < 0.05) v = h.min_value() * (0.05 + 0.9 * trng.UniformDouble());
+        if (u >= 0.95) v = h.max_value() * (1 + 9 * trng.UniformDouble());
+        recorded[t].push_back(v);
+        h.Record(v);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (const std::vector<double>& r : recorded) {
+    samples.insert(samples.end(), r.begin(), r.end());
+  }
+  ASSERT_EQ(h.Count(), samples.size());
+
+  for (double q : {0.01, 0.5, 0.95, 0.99}) {
     std::vector<double> copy = samples;
     const double exact = NearestRankPercentile(copy, q);
+    if (q == 0.01) {
+      EXPECT_LT(exact, h.min_value());
+    }
+    if (q == 0.99) {
+      EXPECT_GT(exact, h.max_value());
+    }
+    const double clamped = std::clamp(exact, h.min_value(), h.max_value());
     const double est = h.Percentile(q);
-    EXPECT_LE(est, exact * h.bucket_ratio() * (1 + 1e-9)) << "q=" << q;
-    EXPECT_GE(est, exact / h.bucket_ratio() * (1 - 1e-9)) << "q=" << q;
+    EXPECT_LE(est, clamped * h.bucket_ratio() * (1 + 1e-9)) << "q=" << q;
+    EXPECT_GE(est, clamped / h.bucket_ratio() * (1 - 1e-9)) << "q=" << q;
   }
 }
 
