@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
   // --iterations bounds the iterative planner's work (the x-axis); other
   // registry planners ignore it and the table pads their single result.
   std::unique_ptr<Planner> planner;
-  if (planner_name == "nosy" || planner_name == "parallelnosy") {
+  if (planner_name == "nosy") {
     ParallelNosyOptions opt;
     opt.max_iterations = iterations;
     planner = MakeParallelNosyPlanner(opt);

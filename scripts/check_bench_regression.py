@@ -33,41 +33,20 @@ deltas are advisory:
       --baseline BENCH_PR29.json \
       --current perfbench-cluster-wal.out --block-threshold 0.50
 
-The remaining modes read a figure harness's JSON: an array of row objects,
-or a BENCH_PR*.json wrapper nesting it under the harness name.
+With --rows, both files are a figure harness's JSON (an array of row
+objects, or a BENCH_PR*.json wrapper nesting it under the harness name):
+bench_fig12_recovery, bench_fig13_rebalance or bench_fig14_scale, told apart
+by the wrapper key or by the rows' fields. The gate only checks
+coverage: a baseline row missing from the current run exits 1 (the bench
+silently lost a configuration). Every numeric delta is advisory — CI runs
+smaller graphs than the checked-in pins, and recovery time is dominated by
+host-dependent replans. For recovery rows, only baseline rows whose op count
+and snapshot cadence the current run requested are expected (CI sweeps a
+subset of the grid):
 
-With --recovery, both files are bench_fig12_recovery JSON. Rows are matched
-on (service, ops, snapshot_every) and recover_ms / replayed_ops deltas are
-printed. The recovery gate is purely *advisory* — recovery wall time is
-dominated by replan cost, which varies wildly across hosts — except that a
-baseline row missing from the current run exits 1 (the bench silently lost
-coverage):
-
-  python3 scripts/check_bench_regression.py --recovery \
+  python3 scripts/check_bench_regression.py --rows \
       --baseline BENCH_PR7.json \
       --current build/bench_fig12_recovery.json
-
-With --rebalance, both files are bench_fig13_rebalance JSON. The total rows
-are matched on (scenario, mode) and cross-message / tail imbalance deltas
-are printed. All numeric deltas are advisory — CI replays a smaller graph
-than the checked-in baseline, so absolute counts differ by design — but a
-baseline (scenario, mode) row missing from the current run exits 1 (the
-sweep silently lost a scenario). The rebalance-beats-static assertion itself
-lives in the CI workflow, where it runs against the current-scale numbers:
-
-  python3 scripts/check_bench_regression.py --rebalance \
-      --baseline BENCH_PR8.json \
-      --current build/bench_fig13_rebalance.json
-
-With --scale, both files are bench_fig14_scale JSON. Rows are matched on
-`row` (plan, serve). A baseline row missing from the current run fails (the
-bench silently lost a phase). Ops_per_sec and bytes_per_edge deltas against
-the baseline are advisory — CI smoke runs a smaller graph than the
-checked-in 1M-node reference by design:
-
-  python3 scripts/check_bench_regression.py --scale \
-      --baseline BENCH_PR10.json \
-      --current build/bench_fig14_scale.json
 """
 
 import argparse
@@ -99,15 +78,48 @@ def in_family(run_name, family):
     return run_name == family or run_name.startswith(family + "/")
 
 
-def load_rows(path, harness, key, keep=lambda row: True):
-    """Returns {key(row): row} over the rows of a figure harness's JSON."""
+# Figure harnesses the --rows gate knows: how a row is keyed, which rows
+# count, which numeric columns are printed as advisory deltas, and which key
+# positions name a requested grid axis (a baseline row is expected only if
+# the current run requested its value on every such axis).
+ROW_HARNESSES = {
+    "bench_fig12_recovery": {
+        "key": ("service", "ops", "snapshot_every"),
+        "keep": lambda row: True,
+        "show": ("recover_ms", "replayed_ops"),
+        "requested": (1, 2),
+    },
+    "bench_fig13_rebalance": {
+        "key": ("scenario", "mode"),
+        "keep": lambda row: row.get("row") == "total",
+        "show": ("cross_msgs", "imbalance", "moved"),
+        "requested": (),
+    },
+    "bench_fig14_scale": {
+        "key": ("row",),
+        "keep": lambda row: True,
+        "show": ("ops_per_sec", "bytes_per_edge", "wall_s"),
+        "requested": (),
+    },
+}
+
+
+def load_harness_rows(path):
+    """Returns (harness name, raw rows) of a figure harness's JSON."""
     with open(path) as f:
         doc = json.load(f)
     if isinstance(doc, dict):
-        doc = doc.get(harness)
-    if not isinstance(doc, list) or not doc:
-        raise ValueError(f"{path}: no {harness} rows")
-    return {key(row): row for row in doc if keep(row)}
+        name = next((h for h in ROW_HARNESSES if h in doc), None)
+        rows = doc.get(name)
+    else:
+        # A bare array: the first harness whose key fields the rows carry
+        # (fig13 rows also have fig14's "row" field, so order matters).
+        rows = doc
+        name = next((h for h, spec in ROW_HARNESSES.items()
+                     if rows and all(k in rows[0] for k in spec["key"])), None)
+    if name is None or not isinstance(rows, list) or not rows:
+        raise ValueError(f"{path}: no rows of a known figure harness")
+    return name, rows
 
 
 def shared_keys(baseline, current, what, args):
@@ -220,120 +232,41 @@ def check_serving(args):
     return 0
 
 
-def check_recovery(args):
-    """Recovery gate: replay volume and recovery time per
-    (service, ops, snapshot_every).
-
-    All deltas are advisory: recovery wall time is dominated by the replan
-    each recovered service runs, and that cost differs by an order of
-    magnitude between the measurement container and CI runners. The only
-    hard failure is coverage loss — a row present in the baseline but absent
-    from the current run means the bench stopped exercising that
-    configuration.
+def check_rows(args):
+    """Coverage gate over a figure harness's rows: every baseline row the
+    current run was asked to produce must be present; deltas are advisory.
     """
-    def key(row):
-        return (row["service"], int(row["ops"]), int(row["snapshot_every"]))
-    baseline = load_rows(args.baseline, "bench_fig12_recovery", key)
-    current = load_rows(args.current, "bench_fig12_recovery", key)
-    # CI sweeps a subset of the baseline grid (smaller --ops / --snapshots),
-    # so only baseline rows whose op count AND cadence were requested in the
-    # current run count as expected: a missing one means a service silently
-    # dropped out of the sweep, not that the grid shrank.
-    cur_ops = {k[1] for k in current}
-    cur_cadences = {k[2] for k in current}
+    harness, base_rows = load_harness_rows(args.baseline)
+    cur_harness, cur_rows = load_harness_rows(args.current)
+    if cur_harness != harness:
+        print(f"error: {args.baseline} holds {harness} rows, {args.current} "
+              f"holds {cur_harness} rows", file=sys.stderr)
+        return 1
+    spec = ROW_HARNESSES[harness]
+
+    def index(rows):
+        return {tuple(row[k] for k in spec["key"]): row
+                for row in rows if spec["keep"](row)}
+    baseline, current = index(base_rows), index(cur_rows)
+    requested = [{k[i] for k in current} for i in spec["requested"]]
     expected = {k for k in baseline
-                if k[1] in cur_ops and k[2] in cur_cadences}
+                if all(k[i] in values
+                       for i, values in zip(spec["requested"], requested))}
     missing = sorted(expected - set(current))
-    shared = shared_keys(baseline, current, "recovery rows", args)
+    shared = shared_keys(baseline, current, f"{harness} rows", args)
     if not shared:
         return 1
 
-    print(f"{'service/ops/snapshot_every':28s} {'base ms':>10s} "
-          f"{'cur ms':>10s} {'delta':>8s}  replayed_ops")
+    print(f"== {harness}: {', '.join(spec['show'])} (baseline -> current, "
+          f"advisory)")
     for key in shared:
         base, cur = baseline[key], current[key]
-        base_ms = float(base["recover_ms"])
-        cur_ms = float(cur["recover_ms"])
-        delta = (cur_ms - base_ms) / base_ms if base_ms > 0 else 0.0
-        flag = " (advisory)" if delta > args.block_threshold else ""
-        print(f"{row_name(key):28s} {base_ms:10.1f} {cur_ms:10.1f} "
-              f"{delta:+7.1%}  "
-              f"{int(base['replayed_ops'])} -> {int(cur['replayed_ops'])}"
-              f"{flag}")
+        deltas = "  ".join(f"{m} {base[m]} -> {cur[m]}" for m in spec["show"])
+        print(f"{row_name(key):32s} {deltas}")
 
     if coverage_lost(missing, args):
         return 1
-    print(f"OK: recovery rows covered ({len(shared)}); timing deltas are "
-          f"advisory")
-    return 0
-
-
-def check_rebalance(args):
-    """Elastic-rebalancing gate: cross-message totals and tail imbalance per
-    (scenario, mode).
-
-    All numeric deltas are advisory: the CI sweep replays a smaller graph
-    and fewer requests than the checked-in baseline, so absolute
-    cross-message counts differ by design (the rebalance-beats-static
-    assertion runs separately in CI against same-scale numbers). The hard
-    failure is coverage loss — a baseline (scenario, mode) row missing from
-    the current run means the sweep stopped exercising that combination.
-    """
-    def load(path):
-        return load_rows(path, "bench_fig13_rebalance",
-                         lambda row: (row["scenario"], row["mode"]),
-                         lambda row: row.get("row") == "total")
-    baseline, current = load(args.baseline), load(args.current)
-    missing = sorted(set(baseline) - set(current))
-    shared = shared_keys(baseline, current, "rebalance rows", args)
-    if not shared:
-        return 1
-
-    print(f"{'scenario/mode':28s} {'base cross':>11s} {'cur cross':>11s} "
-          f"{'tail imb':>16s}  moved")
-    for key in shared:
-        base, cur = baseline[key], current[key]
-        print(f"{row_name(key):28s} {float(base['cross_msgs']):11.0f} "
-              f"{float(cur['cross_msgs']):11.0f} "
-              f"{float(base['imbalance']):7.3f} -> {float(cur['imbalance']):.3f}"
-              f"  {int(base['moved'])} -> {int(cur['moved'])}")
-
-    if coverage_lost(missing, args):
-        return 1
-    print(f"OK: rebalance rows covered ({len(shared)}); deltas are advisory")
-    return 0
-
-
-def check_scale(args):
-    """Million-user-scale gate: coverage only.
-
-    Ops/sec and bytes/edge deltas against the baseline are advisory (CI
-    smoke replays a smaller graph than the checked-in reference), but a
-    baseline row missing from the current run fails: the bench silently
-    lost a phase.
-    """
-    def load(path):
-        return load_rows(path, "bench_fig14_scale", lambda row: row["row"])
-    baseline, current = load(args.baseline), load(args.current)
-    missing = sorted(set(baseline) - set(current))
-    shared = shared_keys(baseline, current, "scale rows", args)
-    if not shared:
-        return 1
-
-    print(f"{'row':8s} {'base ops/s':>12s} {'cur ops/s':>12s} "
-          f"{'bytes/edge':>16s}  wall_s")
-    for key in shared:
-        base, cur = baseline[key], current[key]
-        print(f"{key:8s} {float(base['ops_per_sec']):12.0f} "
-              f"{float(cur['ops_per_sec']):12.0f} "
-              f"{float(base['bytes_per_edge']):7.3f} -> "
-              f"{float(cur['bytes_per_edge']):.3f}  "
-              f"{float(base['wall_s']):.1f} -> {float(cur['wall_s']):.1f}"
-              f"  (deltas advisory)")
-
-    if coverage_lost(missing, args):
-        return 1
-    print(f"OK: scale rows covered ({len(shared)}); deltas are advisory")
+    print(f"OK: {harness} rows covered ({len(shared)}); deltas are advisory")
     return 0
 
 
@@ -348,22 +281,16 @@ def main():
     parser.add_argument("--serving", action="store_true",
                         help="compare perfbench end-to-end metrics (stdout "
                              "or pin) instead of google-benchmark wall times")
-    parser.add_argument("--recovery", action="store_true",
-                        help="compare bench_fig12_recovery rows (advisory "
-                             "except for missing-row coverage)")
-    parser.add_argument("--rebalance", action="store_true",
-                        help="compare bench_fig13_rebalance total rows "
-                             "(advisory except for missing-row coverage)")
-    parser.add_argument("--scale", action="store_true",
-                        help="compare bench_fig14_scale rows (advisory "
-                             "except for missing-row coverage)")
+    parser.add_argument("--rows", action="store_true",
+                        help="compare a figure harness's rows (fig12 "
+                             "recovery, fig13 rebalance, fig14 scale): "
+                             "advisory except for missing-row coverage")
     args = parser.parse_args()
 
-    for mode, check in (("serving", check_serving),
-                        ("recovery", check_recovery),
-                        ("rebalance", check_rebalance), ("scale", check_scale)):
-        if getattr(args, mode):
-            return check(args)
+    if args.serving:
+        return check_serving(args)
+    if args.rows:
+        return check_rows(args)
 
     baseline = load_benchmarks(args.baseline)
     current = load_benchmarks(args.current)

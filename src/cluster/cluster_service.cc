@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "core/cost_model.h"
+#include "obs/percentile.h"
 #include "store/newest_k_merge.h"
 #include "util/failpoint.h"
 #include "util/string_util.h"
@@ -49,26 +50,25 @@ Status ShardFanOut(size_t n, Fn fn, const char* what = "shard",
 // The node -> shard assignment, persisted at Create so Recover rebuilds the
 // exact placement (the partitioner may be randomized), and atomically
 // re-pointed by MigrateUsers (the rename IS the migration's durable commit):
-//   v1 "PIGGYASN": u64 magic, u64 num_shards, u64 num_nodes, num_nodes x u32.
-//   v2 "PIGGYAS2": v1 followed by num_shards x u64 per-shard directory
-//                  generations, so recovery opens the directories the last
-//                  committed migration produced.
-constexpr uint64_t kAssignmentMagicV1 = 0x4E53415947474950ULL;  // "PIGGYASN"
-constexpr uint64_t kAssignmentMagicV2 = 0x3253415947474950ULL;  // "PIGGYAS2"
+//   "PIGGYAS2": u64 magic, u64 num_shards, u64 num_nodes, num_nodes x u32,
+//               then num_shards x u64 per-shard directory generations, so
+//               recovery opens the directories the last committed migration
+//               produced.
+constexpr uint64_t kAssignmentMagic = 0x3253415947474950ULL;  // "PIGGYAS2"
 
 std::string AssignmentPath(const std::string& data_dir) {
   return data_dir + "/assignment.bin";
 }
 
-// Basename of shard s's durability directory at generation `gen`. Generation
-// 0 keeps the historical plain name so pre-migration layouts stay readable.
+// Basename of shard s's durability directory at generation `gen`; generation
+// 0 has the plain shard-NNNN name.
 std::string ShardDirBasename(uint32_t s, uint64_t gen) {
   if (gen == 0) return StrFormat("shard-%04u", s);
   return StrFormat("shard-%04u.g%06llu", s,
                    static_cast<unsigned long long>(gen));
 }
 
-// Writes v2 to `path` via a same-directory temp file + rename, so a torn
+// Writes the assignment to `path` via a same-directory temp file + rename, so a torn
 // write can never clobber the committed assignment.
 Status WriteAssignment(const ShardMap& map,
                        const std::vector<uint64_t>& generations,
@@ -82,7 +82,7 @@ Status WriteAssignment(const ShardMap& map,
     auto put = [&out](const void* p, size_t n) {
       out.write(static_cast<const char*>(p), static_cast<std::streamsize>(n));
     };
-    const uint64_t magic = kAssignmentMagicV2;
+    const uint64_t magic = kAssignmentMagic;
     const uint64_t shards = map.num_shards();
     const uint64_t nodes = map.num_nodes();
     put(&magic, sizeof magic);
@@ -108,7 +108,7 @@ Status WriteAssignment(const ShardMap& map,
 struct AssignmentFile {
   uint64_t num_shards = 0;
   std::vector<uint32_t> shard_of;
-  std::vector<uint64_t> generations;  // zeros for a v1 file
+  std::vector<uint64_t> generations;
 };
 
 Result<AssignmentFile> ReadAssignment(const std::string& path) {
@@ -121,8 +121,7 @@ Result<AssignmentFile> ReadAssignment(const std::string& path) {
     return static_cast<bool>(in);
   };
   uint64_t magic = 0;
-  if (!get(&magic, sizeof magic) ||
-      (magic != kAssignmentMagicV1 && magic != kAssignmentMagicV2)) {
+  if (!get(&magic, sizeof magic) || magic != kAssignmentMagic) {
     return Status::IOError(
         StrFormat("%s is not an assignment file", path.c_str()));
   }
@@ -140,28 +139,13 @@ Result<AssignmentFile> ReadAssignment(const std::string& path) {
     return Status::IOError(
         StrFormat("%s: truncated assignment", path.c_str()));
   }
-  file.generations.assign(file.num_shards, 0);
-  if (magic == kAssignmentMagicV2 &&
-      !get(file.generations.data(), file.num_shards * sizeof(uint64_t))) {
+  file.generations.resize(file.num_shards);
+  if (!get(file.generations.data(), file.num_shards * sizeof(uint64_t))) {
     return Status::IOError(
         StrFormat("%s: truncated generation table", path.c_str()));
   }
   return file;
 }
-
-double MaxOverMean(const std::vector<uint64_t>& loads) {
-  if (loads.empty()) return 0;
-  uint64_t total = 0, max = 0;
-  for (uint64_t x : loads) {
-    total += x;
-    max = std::max(max, x);
-  }
-  if (total == 0) return 0;
-  const double mean =
-      static_cast<double>(total) / static_cast<double>(loads.size());
-  return static_cast<double>(max) / mean;
-}
-
 
 }  // namespace
 
@@ -191,7 +175,6 @@ ClusterService::ClusterService(ClusterOptions options, ShardMap map,
       seqs_(map_.num_nodes(), feed_size),
       cross_(map_.num_shards(), &seqs_),
       per_user_load_(map_.num_nodes()) {
-  down_.assign(map_.num_shards(), 0);
   shard_gen_.assign(map_.num_shards(), 0);
   // Register the router counters once; the hot path records through the
   // cached pointers. The per-user vector stays raw atomics — a striped
@@ -213,12 +196,7 @@ ClusterService::ClusterService(ClusterOptions options, ShardMap map,
   }
 }
 
-FeedServiceOptions ClusterService::ShardOptions(uint32_t s) const {
-  return ShardOptionsForGen(s, shard_gen_[s]);
-}
-
-FeedServiceOptions ClusterService::ShardOptionsForGen(uint32_t s,
-                                                      uint64_t gen) const {
+FeedServiceOptions ClusterService::ShardOptions(uint32_t s, uint64_t gen) const {
   FeedServiceOptions opts = options_.shard;
   // With an auto thread budget each shard planner stays single-threaded —
   // the cluster is the parallel dimension, and oversubscribing k shards x p
@@ -257,14 +235,11 @@ Result<std::unique_ptr<ClusterService>> ClusterService::Create(
   }
   PIGGY_ASSIGN_OR_RETURN(
       std::unique_ptr<Partitioner> partitioner,
-      MakePartitioner(options.partitioner, graph, workload, options.num_shards,
-                      options.partition_salt));
+      MakePartitioner(options.partitioner, graph, workload, options.num_shards));
   PIGGY_ASSIGN_OR_RETURN(ShardMap map, ShardMap::Build(graph, *partitioner));
 
-  ClusterOptions opts = options;
-  opts.partitioner = partitioner->name();  // canonicalize aliases
   auto cluster = std::unique_ptr<ClusterService>(
-      new ClusterService(std::move(opts), std::move(map), std::move(workload),
+      new ClusterService(options, std::move(map), std::move(workload),
                          options.shard.prototype.feed_size));
   cluster->graph_ = DynamicGraph(graph);
 
@@ -303,9 +278,9 @@ Result<std::unique_ptr<ClusterService>> ClusterService::Create(
   cluster->shards_.resize(shards);
   PIGGY_RETURN_NOT_OK(ShardFanOut(shards, [&](size_t s) -> Status {
     PIGGY_ASSIGN_OR_RETURN(
-        cluster->shards_[s].service,
+        cluster->shards_[s],
         FeedService::Create(subgraphs[s], std::move(locals[s]),
-                            cluster->ShardOptions(static_cast<uint32_t>(s))));
+                            cluster->ShardOptions(static_cast<uint32_t>(s), 0)));
     return Status::OK();
   }));
 
@@ -335,7 +310,6 @@ Result<std::unique_ptr<ClusterService>> ClusterService::Recover(
   const auto start = std::chrono::steady_clock::now();
   const double trace_start =
       options.trace != nullptr ? options.trace->NowUs() : 0;
-  RecoveryStats stats;
 
   // Cluster-level pair first: the base graph, the newest valid snapshot
   // (rates + churn delta + sequence counter) and the WAL tail.
@@ -345,12 +319,7 @@ Result<std::unique_ptr<ClusterService>> ClusterService::Recover(
                          ShardDurability::Open(cluster_dur));
   PIGGY_ASSIGN_OR_RETURN(ShardDurability::RecoveredState rec,
                          durability->Recover());
-  stats.snapshot_id = rec.snapshot.id;
-  stats.wal_records = rec.wal_records.size();
-  stats.torn_tail = rec.torn_tail;
-  stats.fallback = rec.fallback;
-  stats.wal_valid_bytes = rec.wal_valid_bytes;
-  stats.wal_total_bytes = rec.wal_total_bytes;
+  RecoveryStats stats = rec.Stats();
 
   const size_t n = rec.base_graph.num_nodes();
   if (rec.snapshot.production.size() != n) {
@@ -420,9 +389,10 @@ Result<std::unique_ptr<ClusterService>> ClusterService::Recover(
   cluster->shards_.resize(shards);
   std::vector<RecoveryStats> shard_stats(shards);
   PIGGY_RETURN_NOT_OK(ShardFanOut(shards, [&](size_t s) -> Status {
+    const auto id = static_cast<uint32_t>(s);
     PIGGY_ASSIGN_OR_RETURN(
-        cluster->shards_[s].service,
-        FeedService::Recover(cluster->ShardOptions(static_cast<uint32_t>(s)),
+        cluster->shards_[s],
+        FeedService::Recover(cluster->ShardOptions(id, cluster->shard_gen_[id]),
                              &shard_stats[s]));
     return Status::OK();
   }));
@@ -436,7 +406,7 @@ Result<std::unique_ptr<ClusterService>> ClusterService::Recover(
   uint64_t max_seq = 0;
   for (uint32_t s = 0; s < shards; ++s) {
     PIGGY_ASSIGN_OR_RETURN(Prototype * plane,
-                           cluster->shards_[s].service->ServingPlane());
+                           cluster->shards_[s]->ServingPlane());
     for (const EventTuple& e : plane->EventLog()) {
       cluster->seqs_.Insert(cluster->map_.GlobalId(s, e.producer), e.event_id);
       max_seq = std::max(max_seq, e.event_id);
@@ -490,14 +460,10 @@ Result<std::unique_ptr<ClusterService>> ClusterService::Recover(
           .count();
   cluster->recovery_stats_ = stats;
   if (options.trace != nullptr) {
-    options.trace->Span(
-        obs::TraceEventKind::kRecovery, trace_start, /*shard=*/-1,
-        {{"shards", std::to_string(shards)},
-         {"wal_records", std::to_string(stats.wal_records)},
-         {"snapshot_events", std::to_string(stats.snapshot_events)},
-         {"torn_tail", stats.torn_tail ? "1" : "0"},
-         {"fallback", stats.fallback ? "1" : "0"}},
-        "cluster_recover");
+    auto args = stats.TraceArgs();
+    args.insert(args.begin(), {"shards", std::to_string(shards)});
+    options.trace->Span(obs::TraceEventKind::kRecovery, trace_start,
+                        /*shard=*/-1, std::move(args), "cluster_recover");
   }
   if (stats_out != nullptr) *stats_out = stats;
   return cluster;
@@ -510,7 +476,7 @@ Status ClusterService::Share(NodeId u) {
   }
   std::shared_lock<std::shared_mutex> lock(mu_);
   const uint32_t s = map_.ShardOf(u);
-  if (down_[s]) {
+  if (shards_[s] == nullptr) {
     return Status::Unavailable(
         StrFormat("shard %u hosting user %u is down", s, u));
   }
@@ -524,7 +490,7 @@ Status ClusterService::Share(NodeId u) {
   // feeds order by cluster-wide share order and merged queries read
   // event_id directly. (On a shard error the seq is burned — gaps are
   // harmless, the oracle only ever sees published numbers.)
-  Status st = shards_[s].service->Share(map_.LocalId(u), seq);
+  Status st = shards_[s]->Share(map_.LocalId(u), seq);
   if (st.ok()) {
     // The stripe serializes the writers of u's history and replica slots;
     // the slot insert is sorted from the tail, so a thread that drew an
@@ -556,7 +522,7 @@ Result<std::vector<EventTuple>> ClusterService::QueryStream(NodeId u) {
   }
   std::shared_lock<std::shared_mutex> lock(mu_);
   const uint32_t s = map_.ShardOf(u);
-  if (down_[s]) {
+  if (shards_[s] == nullptr) {
     return Status::Unavailable(
         StrFormat("shard %u hosting user %u is down", s, u));
   }
@@ -567,7 +533,7 @@ Result<std::vector<EventTuple>> ClusterService::QueryStream(NodeId u) {
     token.next_seq = next_seq_.load(std::memory_order_seq_cst);
   }
   PIGGY_ASSIGN_OR_RETURN(std::vector<EventTuple> local,
-                         shards_[s].service->QueryStream(map_.LocalId(u)));
+                         shards_[s]->QueryStream(map_.LocalId(u)));
   per_shard_requests_[s]->Add();
   per_user_load_[u].fetch_add(1, std::memory_order_relaxed);
   queries_->Add();
@@ -650,7 +616,7 @@ Status ClusterService::AuditMerged(NodeId u,
   }
   const uint32_t s = map_.ShardOf(u);
   PIGGY_ASSIGN_OR_RETURN(const uint64_t trimmed,
-                         shards_[s].service->TrimmedEvents());
+                         shards_[s]->TrimmedEvents());
   if (trimmed > 0) return Status::OK();
 
   std::vector<std::pair<uint64_t, NodeId>> oracle;
@@ -711,7 +677,7 @@ Status ClusterService::Follow(NodeId follower, NodeId producer) {
   if (graph_.HasEdge(producer, follower)) return Status::OK();
   const uint32_t sp = map_.ShardOf(producer);
   const uint32_t sc = map_.ShardOf(follower);
-  if (sp == sc && down_[sp]) {
+  if (sp == sc && shards_[sp] == nullptr) {
     return Status::Unavailable(StrFormat("shard %u is down", sp));
   }
   // Cluster WAL first, shard second: a crash in between leaves the record
@@ -721,8 +687,8 @@ Status ClusterService::Follow(NodeId follower, NodeId producer) {
     PIGGY_RETURN_NOT_OK(durability_->LogChurn(true, producer, follower));
   }
   if (sp == sc) {
-    PIGGY_RETURN_NOT_OK(shards_[sp].service->Follow(map_.LocalId(follower),
-                                                    map_.LocalId(producer)));
+    PIGGY_RETURN_NOT_OK(
+        shards_[sp]->Follow(map_.LocalId(follower), map_.LocalId(producer)));
   } else {
     // Exclusive cluster lock: no share is mid-publication, so the history
     // the replica backfills from is stable without its stripe.
@@ -745,15 +711,15 @@ Status ClusterService::Unfollow(NodeId follower, NodeId producer) {
   if (!graph_.HasEdge(producer, follower)) return Status::OK();
   const uint32_t sp = map_.ShardOf(producer);
   const uint32_t sc = map_.ShardOf(follower);
-  if (sp == sc && down_[sp]) {
+  if (sp == sc && shards_[sp] == nullptr) {
     return Status::Unavailable(StrFormat("shard %u is down", sp));
   }
   if (durability_ != nullptr && !replaying_) {
     PIGGY_RETURN_NOT_OK(durability_->LogChurn(false, producer, follower));
   }
   if (sp == sc) {
-    PIGGY_RETURN_NOT_OK(shards_[sp].service->Unfollow(map_.LocalId(follower),
-                                                      map_.LocalId(producer)));
+    PIGGY_RETURN_NOT_OK(
+        shards_[sp]->Unfollow(map_.LocalId(follower), map_.LocalId(producer)));
   } else {
     cross_.RemoveEdge(producer, follower);
   }
@@ -772,7 +738,7 @@ Status ClusterService::SetUserRates(NodeId u, double production,
   }
   std::unique_lock<std::shared_mutex> lock(mu_);
   const uint32_t s = map_.ShardOf(u);
-  if (down_[s]) {
+  if (shards_[s] == nullptr) {
     return Status::Unavailable(
         StrFormat("shard %u hosting user %u is down", s, u));
   }
@@ -781,9 +747,8 @@ Status ClusterService::SetUserRates(NodeId u, double production,
   }
   workload_.production[u] = production;
   workload_.consumption[u] = consumption;
-  PIGGY_RETURN_NOT_OK(shards_[s].service->SetUserRates(map_.LocalId(u),
-                                                       production,
-                                                       consumption));
+  PIGGY_RETURN_NOT_OK(
+      shards_[s]->SetUserRates(map_.LocalId(u), production, consumption));
   if (migration_active_) {
     migration_journal_.push_back(MigrationJournalEntry{
         MigrationJournalEntry::Kind::kRate, u, 0, production, consumption});
@@ -800,12 +765,11 @@ Status ClusterService::KillShard(uint32_t s) {
     return Status::FailedPrecondition(
         "KillShard requires durability (the shard state would be lost)");
   }
-  if (down_[s]) return Status::OK();
+  if (shards_[s] == nullptr) return Status::OK();
   // Orderly drop: the FeedService destructor flushes the shard WAL. Crash
   // semantics — lost buffered appends, torn tails — are exercised through
   // the FailPoint registry instead.
-  shards_[s].service.reset();
-  down_[s] = 1;
+  shards_[s].reset();
   registry_.GetCounter("cluster.shard_kills").Add();
   if (options_.trace != nullptr) {
     options_.trace->Instant(obs::TraceEventKind::kShardKill,
@@ -822,32 +786,25 @@ Status ClusterService::RestartShard(uint32_t s) {
   if (durability_ == nullptr) {
     return Status::FailedPrecondition("RestartShard requires durability");
   }
-  if (!down_[s]) return Status::OK();
+  if (shards_[s] != nullptr) return Status::OK();
   const double trace_start =
       options_.trace != nullptr ? options_.trace->NowUs() : 0;
   RecoveryStats rs;
-  PIGGY_ASSIGN_OR_RETURN(shards_[s].service,
-                         FeedService::Recover(ShardOptions(s), &rs));
-  down_[s] = 0;
+  PIGGY_ASSIGN_OR_RETURN(shards_[s],
+                         FeedService::Recover(ShardOptions(s, shard_gen_[s]), &rs));
   recovery_stats_.Accumulate(rs);
   registry_.GetCounter("cluster.shard_restarts").Add();
   if (options_.trace != nullptr) {
-    options_.trace->Span(
-        obs::TraceEventKind::kShardRestart, trace_start,
-        static_cast<int32_t>(s),
-        {{"snapshot", std::to_string(rs.snapshot_id)},
-         {"wal_records", std::to_string(rs.wal_records)},
-         {"snapshot_events", std::to_string(rs.snapshot_events)},
-         {"torn_tail", rs.torn_tail ? "1" : "0"},
-         {"fallback", rs.fallback ? "1" : "0"}});
+    options_.trace->Span(obs::TraceEventKind::kShardRestart, trace_start,
+                         static_cast<int32_t>(s), rs.TraceArgs());
   }
   return Status::OK();
 }
 
 bool ClusterService::IsShardDown(uint32_t s) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
-  PIGGY_CHECK_LT(s, down_.size());
-  return down_[s] != 0;
+  PIGGY_CHECK_LT(s, shards_.size());
+  return shards_[s] == nullptr;
 }
 
 void ClusterService::IndexCrossEdges() {
@@ -931,7 +888,7 @@ Status ClusterService::MigrateUsers(const std::vector<UserMove>& moves) {
     }
     for (uint32_t s = 0; s < map_.num_shards(); ++s) {
       if (!is_affected[s]) continue;
-      if (down_[s]) {
+      if (shards_[s] == nullptr) {
         return Status::Unavailable(
             StrFormat("shard %u involved in the migration is down", s));
       }
@@ -970,24 +927,6 @@ Status ClusterService::MigrateUsers(const std::vector<UserMove>& moves) {
          {"shards", std::to_string(affected.size())}});
   }
 
-  // Undo of a failed migration: stop journaling and drop the half-built
-  // generation directories (equivalently: what Recover's orphan scan would
-  // do after a crash at the same point).
-  auto abort = [&](Status why) {
-    std::unique_lock<std::shared_mutex> lock(mu_);
-    migration_active_ = false;
-    migration_journal_.clear();
-    if (options_.durability.enabled()) {
-      for (size_t i = 0; i < affected.size(); ++i) {
-        std::error_code ec;
-        std::filesystem::remove_all(
-            ShardOptionsForGen(affected[i], build_gen[i]).durability.data_dir,
-            ec);
-      }
-    }
-    return why;
-  };
-
   // --- Build (no lock): every affected shard's FeedService is rebuilt on its
   // new induced subgraph and seeded with the frozen histories, while Shares
   // and QueryStreams keep flowing against the old placement. With durability
@@ -996,7 +935,7 @@ Status ClusterService::MigrateUsers(const std::vector<UserMove>& moves) {
   std::vector<std::unique_ptr<FeedService>> rebuilt(affected.size());
   const Status built = ShardFanOut(affected.size(), [&](size_t i) -> Status {
     const uint32_t s = affected[i];
-    const FeedServiceOptions opts = ShardOptionsForGen(s, build_gen[i]);
+    const FeedServiceOptions opts = ShardOptions(s, build_gen[i]);
     if (opts.durability.enabled()) {
       // A crashed earlier migration may have left this generation behind
       // (Create refuses a non-empty directory).
@@ -1020,76 +959,60 @@ Status ClusterService::MigrateUsers(const std::vector<UserMove>& moves) {
     }
     return Status::OK();
   }, "rebuilding shard", affected.data());
-  if (!built.ok()) return abort(built);
 
   // --- Publish (exclusive): catch the rebuilt shards up on everything that
-  // happened during the build, commit durably, then swap in memory. ---------
+  // happened during the build, then commit durably. -------------------------
   std::unique_lock<std::shared_mutex> lock(mu_);
-  for (uint32_t s : affected) {
-    if (down_[s]) {
-      lock.unlock();
-      return abort(Status::Unavailable(StrFormat(
-          "shard %u went down during the migration build", s)));
+  auto catch_up_and_commit = [&]() -> Status {
+    for (uint32_t s : affected) {
+      if (shards_[s] == nullptr) {
+        return Status::Unavailable(
+            StrFormat("shard %u went down during the migration build", s));
+      }
     }
-  }
-
-  // Share delta: seqs that arrived while the build ran (exclusive lock again,
-  // so histories are stable; frozen seqs are all < frozen_next_seq, so there
-  // is no overlap with the seeded prefix).
-  for (size_t i = 0; i < affected.size(); ++i) {
-    const std::vector<NodeId>& members = new_map->Members(affected[i]);
-    for (size_t l = 0; l < members.size(); ++l) {
-      for (uint64_t seq : seqs_.Snapshot(members[l])) {
-        if (seq < frozen_next_seq) continue;
-        Status st = rebuilt[i]->Share(static_cast<NodeId>(l), seq);
-        if (!st.ok()) {
-          lock.unlock();
-          return abort(st);
+    // Share delta: seqs that arrived while the build ran (exclusive lock
+    // again, so histories are stable; frozen seqs are all < frozen_next_seq,
+    // so there is no overlap with the seeded prefix).
+    for (size_t i = 0; i < affected.size(); ++i) {
+      const std::vector<NodeId>& members = new_map->Members(affected[i]);
+      for (size_t l = 0; l < members.size(); ++l) {
+        for (uint64_t seq : seqs_.Snapshot(members[l])) {
+          if (seq < frozen_next_seq) continue;
+          PIGGY_RETURN_NOT_OK(rebuilt[i]->Share(static_cast<NodeId>(l), seq));
         }
       }
     }
-  }
-
-  // Journaled churn + rate shifts. Only same-shard edges of affected shards
-  // matter here: cross edges live in the router (repaired below), and
-  // unaffected shards kept serving their own churn all along.
-  std::vector<int64_t> rebuilt_index(map_.num_shards(), -1);
-  for (size_t i = 0; i < affected.size(); ++i) {
-    rebuilt_index[affected[i]] = static_cast<int64_t>(i);
-  }
-  for (const MigrationJournalEntry& e : migration_journal_) {
-    Status st;
-    if (e.kind == MigrationJournalEntry::Kind::kRate) {
-      const uint32_t s = new_map->ShardOf(e.producer);
-      if (rebuilt_index[s] < 0) continue;
-      st = rebuilt[static_cast<size_t>(rebuilt_index[s])]->SetUserRates(
-          new_map->LocalId(e.producer), e.rp, e.rc);
-    } else {
+    // Journaled churn + rate shifts. Only same-shard edges of affected shards
+    // matter here: cross edges live in the router (repaired at the swap), and
+    // unaffected shards kept serving their own churn all along.
+    std::vector<int64_t> rebuilt_index(map_.num_shards(), -1);
+    for (size_t i = 0; i < affected.size(); ++i) {
+      rebuilt_index[affected[i]] = static_cast<int64_t>(i);
+    }
+    for (const MigrationJournalEntry& e : migration_journal_) {
+      if (e.kind == MigrationJournalEntry::Kind::kRate) {
+        const uint32_t s = new_map->ShardOf(e.producer);
+        if (rebuilt_index[s] < 0) continue;
+        PIGGY_RETURN_NOT_OK(
+            rebuilt[static_cast<size_t>(rebuilt_index[s])]->SetUserRates(
+                new_map->LocalId(e.producer), e.rp, e.rc));
+        continue;
+      }
       const uint32_t sp = new_map->ShardOf(e.producer);
       const uint32_t sc = new_map->ShardOf(e.follower);
       if (sp != sc || rebuilt_index[sp] < 0) continue;
       FeedService& svc = *rebuilt[static_cast<size_t>(rebuilt_index[sp])];
-      st = e.kind == MigrationJournalEntry::Kind::kFollow
-               ? svc.Follow(new_map->LocalId(e.follower),
-                            new_map->LocalId(e.producer))
-               : svc.Unfollow(new_map->LocalId(e.follower),
-                              new_map->LocalId(e.producer));
+      PIGGY_RETURN_NOT_OK(e.kind == MigrationJournalEntry::Kind::kFollow
+                              ? svc.Follow(new_map->LocalId(e.follower),
+                                           new_map->LocalId(e.producer))
+                              : svc.Unfollow(new_map->LocalId(e.follower),
+                                             new_map->LocalId(e.producer)));
     }
-    if (!st.ok()) {
-      lock.unlock();
-      return abort(st);
-    }
-  }
-
-  if (durability_ != nullptr) {
+    if (durability_ == nullptr) return Status::OK();
     // Snapshots the seeding cut in the background land before the commit:
     // a migration returns with its generations' snapshots on disk.
     for (const std::unique_ptr<FeedService>& svc : rebuilt) {
-      Status st = svc->WaitForSnapshotPublish();
-      if (!st.ok()) {
-        lock.unlock();
-        return abort(st);
-      }
+      PIGGY_RETURN_NOT_OK(svc->WaitForSnapshotPublish());
     }
     // Migration-commit markers on both sides of every move, then the atomic
     // assignment re-point — THE durable commit. A crash before the rename
@@ -1097,37 +1020,43 @@ Status ClusterService::MigrateUsers(const std::vector<UserMove>& moves) {
     // it, the new one. Feeds are placement-independent, so either side
     // recovers the exact acked state.
     for (size_t i = 0; i < affected.size(); ++i) {
-      Status st = shards_[affected[i]].service->LogMigrationCommit();
-      if (st.ok()) st = rebuilt[i]->LogMigrationCommit();
-      if (!st.ok()) {
-        lock.unlock();
-        return abort(st);
-      }
+      PIGGY_RETURN_NOT_OK(shards_[affected[i]]->LogMigrationCommit());
+      PIGGY_RETURN_NOT_OK(rebuilt[i]->LogMigrationCommit());
     }
     if (FailPointRegistry::Instance().Hit("migration.commit") !=
         FailPointAction::kOff) {
-      lock.unlock();
-      return abort(Status::IOError("failpoint migration.commit"));
+      return Status::IOError("failpoint migration.commit");
     }
     std::vector<uint64_t> new_gens = shard_gen_;
     for (size_t i = 0; i < affected.size(); ++i) {
       new_gens[affected[i]] = build_gen[i];
     }
-    Status st = WriteAssignment(*new_map, new_gens,
-                                AssignmentPath(options_.durability.data_dir));
-    if (!st.ok()) {
-      lock.unlock();
-      return abort(st);
+    return WriteAssignment(*new_map, new_gens,
+                           AssignmentPath(options_.durability.data_dir));
+  };
+  const Status committed = built.ok() ? catch_up_and_commit() : built;
+  // The journal is consumed by the commit or abandoned with it.
+  migration_active_ = false;
+  migration_journal_.clear();
+  if (!committed.ok()) {
+    // Abort: drop the half-built generation directories (what Recover's
+    // orphan scan would do after a crash at the same point).
+    if (options_.durability.enabled()) {
+      for (size_t i = 0; i < affected.size(); ++i) {
+        std::error_code ec;
+        std::filesystem::remove_all(
+            ShardOptions(affected[i], build_gen[i]).durability.data_dir, ec);
+      }
     }
-    if (FailPointRegistry::Instance().Hit("migration.cutover") !=
-        FailPointAction::kOff) {
-      // Disk already committed the move, so the new directories must
-      // survive. Fail-stop model: the caller recovers the cluster and lands
-      // on the new placement.
-      migration_active_ = false;
-      migration_journal_.clear();
-      return Status::IOError("failpoint migration.cutover");
-    }
+    return committed;
+  }
+  if (durability_ != nullptr &&
+      FailPointRegistry::Instance().Hit("migration.cutover") !=
+          FailPointAction::kOff) {
+    // Disk already committed the move, so the new directories must survive.
+    // Fail-stop model: the caller recovers the cluster and lands on the new
+    // placement.
+    return Status::IOError("failpoint migration.cutover");
   }
 
   // --- In-memory commit (infallible): swap the map, the rebuilt services
@@ -1140,9 +1069,8 @@ Status ClusterService::MigrateUsers(const std::vector<UserMove>& moves) {
   std::vector<std::string> old_dirs;
   if (options_.durability.enabled()) {
     for (size_t i = 0; i < affected.size(); ++i) {
-      old_dirs.push_back(
-          ShardOptionsForGen(affected[i], shard_gen_[affected[i]])
-              .durability.data_dir);
+      old_dirs.push_back(ShardOptions(affected[i], shard_gen_[affected[i]])
+                             .durability.data_dir);
     }
   }
   map_ = std::move(*new_map);
@@ -1150,12 +1078,10 @@ Status ClusterService::MigrateUsers(const std::vector<UserMove>& moves) {
     const uint32_t s = affected[i];
     // The replaced service flushes its WAL in its destructor (orderly
     // handoff, like KillShard).
-    shards_[s].service = std::move(rebuilt[i]);
+    shards_[s] = std::move(rebuilt[i]);
     shard_gen_[s] = build_gen[i];
   }
   RepairCrossEdges(moved_users);
-  migration_active_ = false;
-  migration_journal_.clear();
   migrations_->Add();
   migrated_users_->Add(effective.size());
   if (options_.trace != nullptr) {
@@ -1201,16 +1127,16 @@ Status ClusterService::WriteSnapshotLocked() {
 Status ClusterService::Replan() {
   std::unique_lock<std::shared_mutex> lock(mu_);
   return ShardFanOut(shards_.size(), [&](size_t s) {
-    if (shards_[s].service == nullptr) return Status::OK();  // killed shard
-    return shards_[s].service->Replan();
+    if (shards_[s] == nullptr) return Status::OK();  // killed shard
+    return shards_[s]->Replan();
   });
 }
 
 Status ClusterService::StartBackgroundReplan() {
   std::unique_lock<std::shared_mutex> lock(mu_);
-  for (Shard& shard : shards_) {
-    if (shard.service == nullptr) continue;  // killed shard
-    PIGGY_RETURN_NOT_OK(shard.service->StartBackgroundReplan());
+  for (const std::unique_ptr<FeedService>& shard : shards_) {
+    if (shard == nullptr) continue;  // killed shard
+    PIGGY_RETURN_NOT_OK(shard->StartBackgroundReplan());
   }
   return Status::OK();
 }
@@ -1221,9 +1147,9 @@ Status ClusterService::WaitForBackgroundReplan() {
   // exclusive acquirer) cannot destroy a service out from under the loop.
   std::shared_lock<std::shared_mutex> lock(mu_);
   Status first = Status::OK();
-  for (Shard& shard : shards_) {
-    if (shard.service == nullptr) continue;  // killed shard
-    Status st = shard.service->WaitForBackgroundReplan();
+  for (const std::unique_ptr<FeedService>& shard : shards_) {
+    if (shard == nullptr) continue;  // killed shard
+    Status st = shard->WaitForBackgroundReplan();
     if (first.ok() && !st.ok()) first = st;
   }
   return first;
@@ -1233,10 +1159,10 @@ std::pair<double, double> ClusterService::CostsUnder(const Workload& truth) cons
   std::shared_lock<std::shared_mutex> lock(mu_);
   double intra = 0;
   for (size_t s = 0; s < shards_.size(); ++s) {
-    if (shards_[s].service == nullptr) continue;  // killed shard
+    if (shards_[s] == nullptr) continue;  // killed shard
     const Workload local =
         map_.ProjectWorkload(truth, static_cast<uint32_t>(s));
-    intra += shards_[s].service->CostsUnder(local).first;
+    intra += shards_[s]->CostsUnder(local).first;
   }
   // The baseline ignores placement: one unsharded deployment's hybrid cost.
   return {intra + cross_.PredictedCost(truth), HybridCost(graph_, truth)};
@@ -1261,7 +1187,7 @@ ClusterMetrics ClusterService::GetMetrics() const {
   for (size_t s = 0; s < per_shard_requests_.size(); ++s) {
     m.per_shard_requests[s] = per_shard_requests_[s]->Value();
   }
-  m.imbalance = MaxOverMean(m.per_shard_requests);
+  m.imbalance = obs::MaxOverMean(m.per_shard_requests);
   m.per_shard_replicas = cross_.replicas_per_shard();
   cross_.PerShardTraffic(&m.per_shard_cross_updates,
                          &m.per_shard_cross_queries);
@@ -1283,9 +1209,9 @@ ClusterMetrics ClusterService::GetMetrics() const {
   // Messages issued by the shard-local clients; exact despite going through
   // the per-request ratio (a shard with zero requests sent zero messages).
   double shard_messages = 0;
-  for (const Shard& shard : shards_) {
-    if (shard.service == nullptr) continue;  // killed shard
-    const FeedService::Metrics sm = shard.service->GetMetrics();
+  for (const std::unique_ptr<FeedService>& shard : shards_) {
+    if (shard == nullptr) continue;  // killed shard
+    const FeedService::Metrics sm = shard->GetMetrics();
     m.planner = sm.planner;
     m.intra_cost += sm.schedule_cost;
     m.replans += sm.replans;
@@ -1316,8 +1242,8 @@ ClusterMetrics ClusterService::GetMetrics() const {
 Status ClusterService::Validate() const {
   std::shared_lock<std::shared_mutex> lock(mu_);
   for (size_t s = 0; s < shards_.size(); ++s) {
-    if (shards_[s].service == nullptr) continue;  // killed shard
-    Status st = shards_[s].service->Validate();
+    if (shards_[s] == nullptr) continue;  // killed shard
+    Status st = shards_[s]->Validate();
     if (!st.ok()) {
       return Status(st.code(), StrFormat("shard %zu: %s", s, st.message().c_str()));
     }
@@ -1331,9 +1257,8 @@ Status ClusterService::Validate() const {
     const uint32_t sp = map_.ShardOf(e.src);
     const uint32_t sc = map_.ShardOf(e.dst);
     if (sp == sc) {
-      if (down_[sp]) return;  // shard graph unreachable while killed
-      if (!shards_[sp].service->graph().HasEdge(map_.LocalId(e.src),
-                                                map_.LocalId(e.dst))) {
+      if (shards_[sp] == nullptr) return;  // shard graph unreachable while killed
+      if (!shards_[sp]->graph().HasEdge(map_.LocalId(e.src), map_.LocalId(e.dst))) {
         st = Status::Internal(StrFormat("edge %u->%u missing from shard %u",
                                         e.src, e.dst, sp));
       } else if (cross_.HasEdge(e.src, e.dst)) {

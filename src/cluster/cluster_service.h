@@ -82,8 +82,6 @@ struct ClusterOptions {
   size_t num_shards = 1;
   /// Registry name of the placement policy (see RegisteredPartitioners()).
   std::string partitioner = "hash";
-  /// Salt for the hash policy (ignored by graph-aware partitioners).
-  uint64_t partition_salt = kDefaultPartitionSalt;
   /// Per-shard FeedService configuration: planner, PlanContext, serving-plane
   /// sizing, shard-local audits and the replan policy — shard.replan set to
   /// ReplanPolicy::Drift gives every shard its own traffic-drift estimator,
@@ -307,8 +305,8 @@ class ClusterService {
   const ClusterOptions& options() const { return options_; }
 
   /// Shard-local FeedService (measurement code; shard < num_shards()).
-  const FeedService& shard(size_t i) const { return *shards_[i].service; }
-  FeedService& shard(size_t i) { return *shards_[i].service; }
+  const FeedService& shard(size_t i) const { return *shards_[i]; }
+  FeedService& shard(size_t i) { return *shards_[i]; }
 
   /// Cluster-level metrics registry: router counters ("cluster.shares",
   /// "cluster.shard00.requests", ...) and recovery counters live here; the
@@ -317,10 +315,6 @@ class ClusterService {
   const obs::MetricsRegistry& registry() const { return registry_; }
 
  private:
-  struct Shard {
-    std::unique_ptr<FeedService> service;
-  };
-
   /// One mutation applied while a migration build was running lock-free.
   /// Publish replays the journal into the rebuilt shards so they catch up to
   /// the live graph/rates before the swap.
@@ -364,14 +358,12 @@ class ClusterService {
   /// during WAL replay. Requires mu_ held exclusively.
   Status MaybeSnapshotLocked();
 
-  /// Per-shard FeedService configuration: the shared shard options plus this
-  /// shard's durability directory (and a single planner thread when the
-  /// cluster itself is the parallel dimension).
-  FeedServiceOptions ShardOptions(uint32_t s) const;
-
-  /// Same, pinned to an explicit directory generation (migration builds write
-  /// the *next* generation while the current one keeps serving).
-  FeedServiceOptions ShardOptionsForGen(uint32_t s, uint64_t gen) const;
+  /// Per-shard FeedService configuration: the shared shard options plus
+  /// shard s's durability directory at generation `gen` (migration builds
+  /// write the next generation while the current one keeps serving), and a
+  /// single planner thread when the cluster itself is the parallel
+  /// dimension.
+  FeedServiceOptions ShardOptions(uint32_t s, uint64_t gen) const;
 
   /// Hands every cross-shard edge of graph_ to the router at the side the
   /// current rates prefer, in canonical edge order. Used while the cluster
@@ -390,7 +382,9 @@ class ClusterService {
   ClusterOptions options_;
   ShardMap map_;
   Workload workload_;
-  std::vector<Shard> shards_;
+  // One service per shard; null while the shard is killed. Written under
+  // the exclusive lock, read under shared.
+  std::vector<std::unique_ptr<FeedService>> shards_;
   size_t feed_size_;
 
   // Cluster-level WAL + snapshot pair (router state; null when durability is
@@ -400,9 +394,6 @@ class ClusterService {
   // durable logging, replan triggers and snapshot rotation are suppressed.
   // Plain bool — recovery is single-threaded by construction.
   bool replaying_ = false;
-  // down_[s] is set while shard s is killed (shards_[s].service is null
-  // then). Written under the exclusive lock, read under shared.
-  std::vector<uint8_t> down_;
   // Durability-directory generation per shard: shard s serves out of
   // shard-NNNN (gen 0) or shard-NNNN.gGGGGGG. A migration rebuilds affected
   // shards into the next generation and bumps this at the swap; persisted in

@@ -1,9 +1,7 @@
 #include "core/planner.h"
 
 #include <algorithm>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <utility>
 
 #include "core/baselines.h"
@@ -196,109 +194,42 @@ class BaselinePlanner final : public Planner {
   Kind kind_;
 };
 
-struct Registry {
-  std::mutex mu;
-  // Canonical name -> (info, factory); alias -> canonical name.
-  std::map<std::string, PlannerInfo, std::less<>> infos;
-  std::map<std::string, std::function<std::unique_ptr<Planner>()>, std::less<>>
-      factories;
-  std::map<std::string, std::string, std::less<>> aliases;
-
-  Status RegisterLocked(PlannerInfo info,
-                        std::function<std::unique_ptr<Planner>()> factory,
-                        std::vector<std::string> alias_names) {
-    if (factories.count(info.name) || aliases.count(info.name)) {
-      return Status::AlreadyExists("planner already registered: " + info.name);
-    }
-    for (const std::string& a : alias_names) {
-      if (factories.count(a) || aliases.count(a)) {
-        return Status::AlreadyExists("planner alias already registered: " + a);
-      }
-    }
-    for (const std::string& a : alias_names) aliases[a] = info.name;
-    factories[info.name] = std::move(factory);
-    infos[info.name] = std::move(info);
-    return Status::OK();
-  }
-
-  std::string ValidNamesLocked() const {
-    std::string names;
-    for (const auto& [name, info] : infos) {
-      if (!names.empty()) names += ", ";
-      names += name;
-    }
-    if (!aliases.empty()) {
-      names += " (aliases:";
-      for (const auto& [alias, canonical] : aliases) names += " " + alias;
-      names += ")";
-    }
-    return names;
-  }
+// The registry: one factory per planner, in name order. Each planner's
+// info() is the one spelling of its name and description.
+using PlannerFactory = std::unique_ptr<Planner> (*)();
+constexpr PlannerFactory kPlanners[] = {
+    [] { return MakeChitChatPlanner(); },
+    []() -> std::unique_ptr<Planner> {
+      return std::make_unique<BaselinePlanner>(BaselinePlanner::Kind::kHybrid);
+    },
+    [] { return MakeParallelNosyPlanner(); },
+    []() -> std::unique_ptr<Planner> {
+      return std::make_unique<BaselinePlanner>(BaselinePlanner::Kind::kPullAll);
+    },
+    []() -> std::unique_ptr<Planner> {
+      return std::make_unique<BaselinePlanner>(BaselinePlanner::Kind::kPushAll);
+    },
 };
-
-Registry& GlobalRegistry() {
-  static Registry* registry = [] {
-    auto* r = new Registry();
-    auto built_in = [r](PlannerInfo info,
-                        std::function<std::unique_ptr<Planner>()> factory,
-                        std::vector<std::string> alias_names = {}) {
-      Status st = r->RegisterLocked(std::move(info), std::move(factory),
-                                    std::move(alias_names));
-      PIGGY_CHECK(st.ok()) << st.ToString();
-    };
-    built_in(ChitChatPlanner({}).info(),
-             [] { return std::make_unique<ChitChatPlanner>(ChitChatOptions{}); });
-    built_in(ParallelNosyPlanner({}).info(),
-             [] {
-               return std::make_unique<ParallelNosyPlanner>(ParallelNosyOptions{});
-             },
-             {"parallelnosy"});
-    using Kind = BaselinePlanner::Kind;
-    for (Kind kind : {Kind::kPushAll, Kind::kPullAll, Kind::kHybrid}) {
-      built_in(BaselinePlanner(kind).info(),
-               [kind] { return std::make_unique<BaselinePlanner>(kind); },
-               kind == Kind::kHybrid ? std::vector<std::string>{"ff"}
-                                     : std::vector<std::string>{});
-    }
-    return r;
-  }();
-  return *registry;
-}
 
 }  // namespace
 
 Result<std::unique_ptr<Planner>> MakePlanner(std::string_view name) {
-  Registry& registry = GlobalRegistry();
-  std::lock_guard<std::mutex> lock(registry.mu);
-  std::string key(name);
-  auto alias = registry.aliases.find(key);
-  if (alias != registry.aliases.end()) key = alias->second;
-  auto it = registry.factories.find(key);
-  if (it == registry.factories.end()) {
-    return Status::InvalidArgument(
-        StrFormat("unknown planner '%s'; valid planners: %s",
-                  std::string(name).c_str(),
-                  registry.ValidNamesLocked().c_str()));
+  std::vector<std::string> names;
+  for (PlannerFactory make : kPlanners) {
+    std::unique_ptr<Planner> planner = make();
+    if (planner->name() == name) return planner;
+    names.push_back(planner->name());
   }
-  return it->second();
+  return Status::InvalidArgument(
+      StrFormat("unknown planner '%.*s'; valid planners: %s",
+                static_cast<int>(name.size()), name.data(),
+                StrJoin(names, ", ").c_str()));
 }
 
 std::vector<PlannerInfo> RegisteredPlanners() {
-  Registry& registry = GlobalRegistry();
-  std::lock_guard<std::mutex> lock(registry.mu);
   std::vector<PlannerInfo> infos;
-  infos.reserve(registry.infos.size());
-  for (const auto& [name, info] : registry.infos) infos.push_back(info);
-  return infos;  // std::map iteration is already name-sorted
-}
-
-Status RegisterPlanner(PlannerInfo info,
-                       std::function<std::unique_ptr<Planner>()> factory,
-                       std::vector<std::string> aliases) {
-  Registry& registry = GlobalRegistry();
-  std::lock_guard<std::mutex> lock(registry.mu);
-  return registry.RegisterLocked(std::move(info), std::move(factory),
-                                 std::move(aliases));
+  for (PlannerFactory make : kPlanners) infos.push_back(make()->info());
+  return infos;
 }
 
 std::unique_ptr<Planner> MakeChitChatPlanner(const ChitChatOptions& options) {

@@ -12,10 +12,11 @@
 //   PlanResult plan = planner->Plan(graph, workload, {}).MoveValueOrDie();
 //   // plan.schedule passes ValidateSchedule; plan.final_cost, trajectory...
 //
-// Registered names (see RegisteredPlanners() for descriptions):
-//   "chitchat"  O(log n) set-cover approximation       (alias: none)
-//   "nosy"      parallel single-consumer heuristic      (alias: "parallelnosy")
-//   "hybrid"    Silberstein et al. per-edge min cost    (alias: "ff")
+// The registry is a constant table; its names (see RegisteredPlanners() for
+// descriptions):
+//   "chitchat"  O(log n) set-cover approximation
+//   "nosy"      parallel single-consumer heuristic
+//   "hybrid"    Silberstein et al. per-edge min cost (the FF baseline)
 //   "push-all"  every edge pushed
 //   "pull-all"  every edge pulled
 //
@@ -102,7 +103,7 @@ struct PlanResult {
 
 /// \brief Registry metadata for one planner.
 struct PlannerInfo {
-  std::string name;         ///< canonical registry key
+  std::string name;         ///< registry key
   std::string description;  ///< one line, shown by `piggy_tool --planner list`
 };
 
@@ -123,19 +124,13 @@ class Planner {
                                   const PlanContext& ctx = {}) const = 0;
 };
 
-/// Instantiates a registered planner by name (canonical or alias) with
-/// default algorithm options. Unknown names return InvalidArgument listing
-/// the valid options.
+/// Instantiates a registered planner by name with default algorithm
+/// options. Unknown names return InvalidArgument listing the valid options.
+/// Thread-safe.
 Result<std::unique_ptr<Planner>> MakePlanner(std::string_view name);
 
-/// All registered planners (canonical names only), sorted by name.
+/// All registered planners, sorted by name. Thread-safe.
 std::vector<PlannerInfo> RegisteredPlanners();
-
-/// Registers a planner factory under `info.name` (+ optional aliases).
-/// Returns AlreadyExists if any key is taken. Thread-safe.
-Status RegisterPlanner(PlannerInfo info,
-                       std::function<std::unique_ptr<Planner>()> factory,
-                       std::vector<std::string> aliases = {});
 
 /// Typed factories: registry planners with custom algorithm options.
 /// ctx.num_threads (when nonzero) overrides the options' own thread count.

@@ -117,6 +117,27 @@ std::string RecoveryStats::ToJson() const {
       static_cast<unsigned long long>(wal_total_bytes), wall_seconds);
 }
 
+std::vector<std::pair<std::string, std::string>> RecoveryStats::TraceArgs()
+    const {
+  return {{"snapshot", std::to_string(snapshot_id)},
+          {"snapshot_events", std::to_string(snapshot_events)},
+          {"wal_records", std::to_string(wal_records)},
+          {"torn_tail", torn_tail ? "true" : "false"},
+          {"fallback", fallback ? "true" : "false"}};
+}
+
+RecoveryStats ShardDurability::RecoveredState::Stats() const {
+  RecoveryStats stats;
+  stats.snapshot_id = snapshot.id;
+  stats.snapshot_events = snapshot.events.size();
+  stats.wal_records = wal_records.size();
+  stats.torn_tail = torn_tail;
+  stats.fallback = fallback;
+  stats.wal_valid_bytes = wal_valid_bytes;
+  stats.wal_total_bytes = wal_total_bytes;
+  return stats;
+}
+
 void ShardDurability::BindObservability(obs::MetricsRegistry* metrics,
                                         obs::TraceLog* trace,
                                         int32_t trace_shard) {

@@ -50,6 +50,7 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "durability/snapshot.h"
@@ -72,9 +73,6 @@ struct DurabilityOptions {
   /// FeedService cuts on the request that crosses the threshold and
   /// publishes the file on a background writer.
   uint64_t snapshot_every = 0;
-  /// Write a snapshot after every replan commit, bounding replay cost to one
-  /// plan epoch.
-  bool snapshot_on_replan = true;
   /// Observability sinks (not owned; both may be null). `metrics` receives
   /// the wal.append_us / wal.flush_us / snapshot.cut_us / snapshot.write_us
   /// histograms and the wal.rotations / snapshot.publish_failures counters;
@@ -112,6 +110,9 @@ struct RecoveryStats {
   std::string ToString() const;
   /// One flat JSON object (piggy_tool recover --json).
   std::string ToJson() const;
+  /// The recovery trace span's arguments (snapshot id, snapshot events, WAL
+  /// records, torn tail, fallback), booleans spelled as in ToJson.
+  std::vector<std::pair<std::string, std::string>> TraceArgs() const;
 };
 
 class ShardDurability {
@@ -178,6 +179,10 @@ class ShardDurability {
     bool fallback = false;  // newest snapshot invalid, used an older one
     uint64_t wal_valid_bytes = 0;
     uint64_t wal_total_bytes = 0;
+
+    /// What was loaded, as the first half of a RecoveryStats (the replay
+    /// counters and wall time are the caller's).
+    RecoveryStats Stats() const;
   };
 
   /// Loads the newest valid snapshot and the WAL tail (see file comment).

@@ -2,23 +2,12 @@
 
 #include <algorithm>
 
+#include "obs/percentile.h"
 #include "util/logging.h"
 
 namespace piggy {
 
 namespace {
-
-double MaxOverMean(const std::vector<uint64_t>& loads) {
-  if (loads.empty()) return 0;
-  uint64_t total = 0, max = 0;
-  for (uint64_t x : loads) {
-    total += x;
-    max = std::max(max, x);
-  }
-  if (total == 0) return 0;
-  return static_cast<double>(max) /
-         (static_cast<double>(total) / static_cast<double>(loads.size()));
-}
 
 // What-if model of the router's *batched* cross-shard traffic. The serving
 // plane batches at shard granularity: a producer pays one update message per
@@ -211,7 +200,7 @@ MovePlan PlanRebalance(const Graph& graph, const Workload& workload,
   BatchedCutModel model(graph, workload, work, num_shards, user_load,
                         /*observed=*/total > 0);
   plan.predicted_cut_before = model.Cost();
-  plan.predicted_imbalance_before = MaxOverMean(shard_load);
+  plan.predicted_imbalance_before = obs::MaxOverMean(shard_load);
   plan.predicted_cut_after = plan.predicted_cut_before;
   plan.predicted_imbalance_after = plan.predicted_imbalance_before;
   if (total == 0 || num_shards < 2 || options.move_budget == 0) return plan;
@@ -385,7 +374,7 @@ MovePlan PlanRebalance(const Graph& graph, const Workload& workload,
   }
 
   plan.predicted_cut_after = plan.predicted_cut_before + cut_delta;
-  plan.predicted_imbalance_after = MaxOverMean(shard_load);
+  plan.predicted_imbalance_after = obs::MaxOverMean(shard_load);
   return plan;
 }
 

@@ -2,29 +2,16 @@
 
 #include <algorithm>
 
+#include "obs/percentile.h"
+
 namespace piggy {
 
-namespace {
-
-double MaxOverMean(const std::vector<double>& loads) {
-  if (loads.empty()) return 0;
-  double total = 0, max = 0;
-  for (double x : loads) {
-    total += x;
-    max = std::max(max, x);
-  }
-  if (total <= 0) return 0;
-  return max / (total / static_cast<double>(loads.size()));
-}
-
-}  // namespace
-
 double RebalanceTrigger::windowed_imbalance() const {
-  return MaxOverMean(work_ema_);
+  return obs::MaxOverMean(work_ema_);
 }
 
 double RebalanceTrigger::windowed_send_imbalance() const {
-  return MaxOverMean(send_ema_);
+  return obs::MaxOverMean(send_ema_);
 }
 
 void RebalanceTrigger::Fold(const ClusterMetrics& m) {

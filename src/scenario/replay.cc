@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/cost_model.h"
+#include "obs/percentile.h"
 #include "scenario/drift.h"
 #include "util/alias_table.h"
 #include "util/rng.h"
@@ -98,16 +99,10 @@ Status CheckUsers(const char* deployment, size_t users, const Scenario& scenario
 /// or no shard breakdown — the FeedService path).
 double EpochImbalance(const std::vector<uint64_t>& now,
                       const std::vector<uint64_t>& start) {
-  if (now.empty() || now.size() != start.size()) return 0;
-  uint64_t total = 0, max = 0;
-  for (size_t s = 0; s < now.size(); ++s) {
-    const uint64_t d = now[s] - start[s];
-    total += d;
-    max = std::max(max, d);
-  }
-  if (total == 0) return 0;
-  return static_cast<double>(max) /
-         (static_cast<double>(total) / static_cast<double>(now.size()));
+  if (now.size() != start.size()) return 0;
+  std::vector<uint64_t> delta(now.size());
+  for (size_t s = 0; s < now.size(); ++s) delta[s] = now[s] - start[s];
+  return obs::MaxOverMean(delta);
 }
 
 Result<ReplayReport> Replay(Scenario& scenario, ServiceHooks hooks,
@@ -271,6 +266,10 @@ Result<ReplayReport> ReplayWithAux(Scenario& scenario, ServiceHooks hooks,
   // Copies: `hooks` is moved into Replay below while the threads run.
   const auto share = hooks.share;
   const auto query = hooks.query;
+  const auto probe = hooks.probe;
+  // The epoch probes race the aux threads, so the run's totals come from one
+  // probe before they start and one after they join.
+  const ServiceProbe before = probe();
   std::vector<std::thread> threads;
   threads.reserve(aux);
   for (size_t t = 0; t < aux; ++t) {
@@ -301,6 +300,7 @@ Result<ReplayReport> ReplayWithAux(Scenario& scenario, ServiceHooks hooks,
   auto result = Replay(scenario, std::move(hooks), std::move(report), options);
   stop.store(true, std::memory_order_release);
   for (std::thread& th : threads) th.join();
+  const ServiceProbe after = probe();
   PIGGY_ASSIGN_OR_RETURN(ReplayReport out, std::move(result));
   out.aux_threads = aux;
   for (const AuxResult& r : results) {
@@ -308,9 +308,10 @@ Result<ReplayReport> ReplayWithAux(Scenario& scenario, ServiceHooks hooks,
     out.aux_requests += r.requests;
     out.unavailable += r.unavailable;
   }
-  // The epochs' messages include the aux traffic, so the run's ratio divides
-  // by every request issued, not only the sequential stream's.
-  const uint64_t requests = out.shares + out.queries + out.aux_requests;
+  // Every request served, aux traffic included, over the messages it cost.
+  out.messages = after.messages - before.messages;
+  const uint64_t requests =
+      (after.shares + after.queries) - (before.shares + before.queries);
   out.messages_per_request =
       requests > 0 ? out.messages / static_cast<double>(requests) : 0;
   return out;

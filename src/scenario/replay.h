@@ -78,9 +78,12 @@ struct ReplayReport {
   uint64_t queries = 0;
   uint64_t follows = 0;
   uint64_t unfollows = 0;
-  double messages = 0;  ///< total serving messages across the run
+  /// Total serving messages across the run. With aux threads: every served
+  /// request's, from one counter probe before they start and one after they
+  /// join (the epoch rows race the aux traffic).
+  double messages = 0;
   double cross_messages = 0;  ///< total batched cross-shard messages (clusters)
-  /// `messages` over every request issued, aux-thread requests included.
+  /// `messages` over every request served, aux-thread requests included.
   double messages_per_request = 0;
   size_t replans = 0;  ///< total planner runs, including the initial plan
   double wall_seconds = 0;

@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <utility>
 
@@ -259,15 +258,16 @@ std::vector<EpochSpec> StationaryEpochs(const Workload& base,
   return epochs;
 }
 
-Result<std::unique_ptr<Scenario>> MakeStationary(const Graph& g, Workload base,
+Result<std::unique_ptr<Scenario>> MakeStationary(ScenarioInfo info, const Graph& g,
+                                                 Workload base,
                                                  const ScenarioOptions& options) {
   std::vector<EpochSpec> epochs = StationaryEpochs(base, options);
   return std::unique_ptr<Scenario>(new EpochScenario(
-      {"stationary", "fixed rates, no churn (the paper's evaluation regime)"},
-      g, std::move(base), options, std::move(epochs)));
+      std::move(info), g, std::move(base), options, std::move(epochs)));
 }
 
-Result<std::unique_ptr<Scenario>> MakeDiurnal(const Graph& g, Workload base,
+Result<std::unique_ptr<Scenario>> MakeDiurnal(ScenarioInfo info, const Graph& g,
+                                              Workload base,
                                               const ScenarioOptions& options) {
   const size_t num_epochs = std::max<size_t>(options.epochs, 1);
   const double amplitude =
@@ -288,12 +288,11 @@ Result<std::unique_ptr<Scenario>> MakeDiurnal(const Graph& g, Workload base,
     epochs[e].workload = std::move(w);
   }
   return std::unique_ptr<Scenario>(new EpochScenario(
-      {"diurnal",
-       "three phase-shifted regional cohorts on a two-cycle sinusoid"},
-      g, std::move(base), options, std::move(epochs)));
+      std::move(info), g, std::move(base), options, std::move(epochs)));
 }
 
-Result<std::unique_ptr<Scenario>> MakeFlashCrowd(const Graph& g, Workload base,
+Result<std::unique_ptr<Scenario>> MakeFlashCrowd(ScenarioInfo info, const Graph& g,
+                                                 Workload base,
                                                  const ScenarioOptions& options) {
   const size_t n = g.num_nodes();
   const size_t num_epochs = std::max<size_t>(options.epochs, 4);
@@ -333,12 +332,11 @@ Result<std::unique_ptr<Scenario>> MakeFlashCrowd(const Graph& g, Workload base,
     epochs[e].workload = std::move(w);
   }
   return std::unique_ptr<Scenario>(new EpochScenario(
-      {"flash-crowd",
-       "hub producers and their followers spike together, then decay"},
-      g, std::move(base), options, std::move(epochs)));
+      std::move(info), g, std::move(base), options, std::move(epochs)));
 }
 
-Result<std::unique_ptr<Scenario>> MakeCelebrityJoin(const Graph& g, Workload base,
+Result<std::unique_ptr<Scenario>> MakeCelebrityJoin(ScenarioInfo info, const Graph& g,
+                                                    Workload base,
                                                     const ScenarioOptions& options) {
   const size_t n = g.num_nodes();
   if (n < 2) return Status::InvalidArgument("celebrity-join needs >= 2 users");
@@ -408,12 +406,11 @@ Result<std::unique_ptr<Scenario>> MakeCelebrityJoin(const Graph& g, Workload bas
     epochs[e].workload = std::move(w);
   }
   return std::unique_ptr<Scenario>(new EpochScenario(
-      {"celebrity-join",
-       "one account gains followers fast while its share rate ramps up"},
-      g, std::move(base), options, std::move(epochs)));
+      std::move(info), g, std::move(base), options, std::move(epochs)));
 }
 
-Result<std::unique_ptr<Scenario>> MakeFollowStorm(const Graph& g, Workload base,
+Result<std::unique_ptr<Scenario>> MakeFollowStorm(ScenarioInfo info, const Graph& g,
+                                                  Workload base,
                                                   const ScenarioOptions& options) {
   const size_t num_epochs = std::max<size_t>(options.epochs, 4);
   Rng rng = ChurnRng(options);
@@ -480,13 +477,11 @@ Result<std::unique_ptr<Scenario>> MakeFollowStorm(const Graph& g, Workload base,
     epochs[e].workload = current;
   }
   return std::unique_ptr<Scenario>(new EpochScenario(
-      {"follow-storm",
-       "follow-back wave over a quarter of existing edges with an engagement "
-       "shift, partial regret"},
-      g, std::move(base), options, std::move(epochs)));
+      std::move(info), g, std::move(base), options, std::move(epochs)));
 }
 
-Result<std::unique_ptr<Scenario>> MakeRegionalEvent(const Graph& g, Workload base,
+Result<std::unique_ptr<Scenario>> MakeRegionalEvent(ScenarioInfo info, const Graph& g,
+                                                    Workload base,
                                                     const ScenarioOptions& options) {
   const size_t n = g.num_nodes();
   const size_t num_epochs = std::max<size_t>(options.epochs, 4);
@@ -576,12 +571,11 @@ Result<std::unique_ptr<Scenario>> MakeRegionalEvent(const Graph& g, Workload bas
                   return true;
                 });
   return std::unique_ptr<Scenario>(new EpochScenario(
-      {"regional-event",
-       "one region's rates spike on a triangular window; outsiders follow in"},
-      g, std::move(base), options, std::move(epochs)));
+      std::move(info), g, std::move(base), options, std::move(epochs)));
 }
 
-Result<std::unique_ptr<Scenario>> MakeShardFailure(const Graph& g, Workload base,
+Result<std::unique_ptr<Scenario>> MakeShardFailure(ScenarioInfo info, const Graph& g,
+                                                   Workload base,
                                                    const ScenarioOptions& options) {
   // Stationary traffic with scripted outage windows in the middle half of
   // the run: shard slot i fails a quarter into its epoch and restarts three
@@ -623,77 +617,45 @@ Result<std::unique_ptr<Scenario>> MakeShardFailure(const Graph& g, Workload base
         [](const ScenarioOp& a, const ScenarioOp& b) { return a.time < b.time; });
   }
   return MakeCustomScenario(
-      {"shard-failure",
-       "stationary traffic with scripted shard fail/restart windows"},
-      g, std::move(base), opts, std::move(epochs));
+      std::move(info), g, std::move(base), opts, std::move(epochs));
 }
 
 // ---------------------------------------------------------------------------
-// Registry (mirrors the planner/partitioner registries).
+// Registry: a constant table, like the planner and partitioner registries.
 // ---------------------------------------------------------------------------
 
-using ScenarioFactory = std::function<Result<std::unique_ptr<Scenario>>(
-    const Graph&, Workload, const ScenarioOptions&)>;
+using ScenarioFactory = Result<std::unique_ptr<Scenario>> (*)(
+    ScenarioInfo, const Graph&, Workload, const ScenarioOptions&);
 
-struct Registry {
-  std::mutex mu;
-  std::map<std::string, ScenarioInfo, std::less<>> infos;
-  std::map<std::string, ScenarioFactory, std::less<>> factories;
-
-  Status RegisterLocked(ScenarioInfo info, ScenarioFactory factory) {
-    if (factories.count(info.name)) {
-      return Status::AlreadyExists("scenario already registered: " + info.name);
-    }
-    factories[info.name] = std::move(factory);
-    infos[info.name] = std::move(info);
-    return Status::OK();
-  }
-
-  std::string ValidNamesLocked() const {
-    std::string names;
-    for (const auto& [name, info] : infos) {
-      if (!names.empty()) names += ", ";
-      names += name;
-    }
-    return names;
-  }
+struct RegistryEntry {
+  const char* name;
+  const char* description;  ///< one line, shown by `piggy_tool scenarios`
+  ScenarioFactory make;
 };
 
-Registry& GlobalRegistry() {
-  static Registry* registry = [] {
-    auto* r = new Registry();
-    auto built_in = [r](const char* name, const char* description,
-                        ScenarioFactory factory) {
-      Status st = r->RegisterLocked({name, description}, std::move(factory));
-      PIGGY_CHECK(st.ok()) << st.ToString();
-    };
-    built_in("stationary",
-             "fixed rates, no churn (the paper's evaluation regime)",
-             MakeStationary);
-    built_in("diurnal",
-             "three phase-shifted regional cohorts on a two-cycle sinusoid",
-             MakeDiurnal);
-    built_in("flash-crowd",
-             "hub producers and their followers spike together, then decay",
-             MakeFlashCrowd);
-    built_in("celebrity-join",
-             "one account gains followers fast while its share rate ramps up",
-             MakeCelebrityJoin);
-    built_in("follow-storm",
-             "follow-back wave over a quarter of existing edges with an "
-             "engagement shift, partial regret",
-             MakeFollowStorm);
-    built_in("regional-event",
-             "one region's rates spike on a triangular window; outsiders "
-             "follow in",
-             MakeRegionalEvent);
-    built_in("shard-failure",
-             "stationary traffic with scripted shard fail/restart windows",
-             MakeShardFailure);
-    return r;
-  }();
-  return *registry;
-}
+// The registry, in name order.
+constexpr RegistryEntry kScenarios[] = {
+    {"celebrity-join",
+     "one account gains followers fast while its share rate ramps up",
+     MakeCelebrityJoin},
+    {"diurnal", "three phase-shifted regional cohorts on a two-cycle sinusoid",
+     MakeDiurnal},
+    {"flash-crowd",
+     "hub producers and their followers spike together, then decay",
+     MakeFlashCrowd},
+    {"follow-storm",
+     "follow-back wave over a quarter of existing edges with an engagement "
+     "shift, partial regret",
+     MakeFollowStorm},
+    {"regional-event",
+     "one region's rates spike on a triangular window; outsiders follow in",
+     MakeRegionalEvent},
+    {"shard-failure",
+     "stationary traffic with scripted shard fail/restart windows",
+     MakeShardFailure},
+    {"stationary", "fixed rates, no churn (the paper's evaluation regime)",
+     MakeStationary},
+};
 
 }  // namespace
 
@@ -712,20 +674,18 @@ Result<std::unique_ptr<Scenario>> MakeScenario(std::string_view name,
   if (!(options.duration > 0)) {
     return Status::InvalidArgument("scenario duration must be positive");
   }
-  ScenarioFactory factory;
-  {
-    Registry& r = GlobalRegistry();
-    std::lock_guard<std::mutex> lock(r.mu);
-    auto it = r.factories.find(name);
-    if (it == r.factories.end()) {
-      return Status::InvalidArgument(
-          StrFormat("unknown scenario \"%.*s\"; valid: %s",
-                    static_cast<int>(name.size()), name.data(),
-                    r.ValidNamesLocked().c_str()));
+  std::vector<std::string> names;
+  for (const RegistryEntry& entry : kScenarios) {
+    if (name == entry.name) {
+      return entry.make({entry.name, entry.description}, graph,
+                        std::move(base_workload), options);
     }
-    factory = it->second;
+    names.push_back(entry.name);
   }
-  return factory(graph, std::move(base_workload), options);
+  return Status::InvalidArgument(
+      StrFormat("unknown scenario \"%.*s\"; valid: %s",
+                static_cast<int>(name.size()), name.data(),
+                StrJoin(names, ", ").c_str()));
 }
 
 Result<std::unique_ptr<Scenario>> MakeCustomScenario(
@@ -791,21 +751,11 @@ Result<std::unique_ptr<Scenario>> MakeScenario(std::string_view name,
 }
 
 std::vector<ScenarioInfo> RegisteredScenarios() {
-  Registry& r = GlobalRegistry();
-  std::lock_guard<std::mutex> lock(r.mu);
   std::vector<ScenarioInfo> infos;
-  infos.reserve(r.infos.size());
-  for (const auto& [name, info] : r.infos) infos.push_back(info);
+  for (const RegistryEntry& entry : kScenarios) {
+    infos.push_back({entry.name, entry.description});
+  }
   return infos;
-}
-
-Status RegisterScenario(
-    ScenarioInfo info,
-    std::function<Result<std::unique_ptr<Scenario>>(
-        const Graph&, Workload, const ScenarioOptions&)> factory) {
-  Registry& r = GlobalRegistry();
-  std::lock_guard<std::mutex> lock(r.mu);
-  return r.RegisterLocked(std::move(info), std::move(factory));
 }
 
 }  // namespace piggy

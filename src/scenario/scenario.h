@@ -37,7 +37,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -115,7 +114,7 @@ struct ScenarioOptions {
 
 /// \brief Registry metadata for one scenario family.
 struct ScenarioInfo {
-  std::string name;         ///< canonical registry key
+  std::string name;         ///< registry key
   std::string description;  ///< one line, shown by `piggy_tool scenarios`
 };
 
@@ -186,21 +185,14 @@ struct CustomEpoch {
 
 /// Builds a scenario from explicit per-epoch specs (epochs.size() overrides
 /// options.epochs). This is the engine behind every registered family;
-/// exposed so tests and external RegisterScenario factories can script exact
-/// rate trajectories — e.g. a mid-run rate shift to zero — while keeping the
-/// uniform request-sampling and emission semantics.
+/// exposed so tests can script exact rate trajectories — e.g. a mid-run rate
+/// shift to zero — while keeping the uniform request-sampling and emission
+/// semantics.
 Result<std::unique_ptr<Scenario>> MakeCustomScenario(
     ScenarioInfo info, const Graph& graph, Workload base_workload,
     const ScenarioOptions& options, std::vector<CustomEpoch> epochs);
 
-/// All registered scenarios (canonical names only), sorted by name.
+/// All registered scenarios (a constant table), sorted by name.
 std::vector<ScenarioInfo> RegisteredScenarios();
-
-/// Registers an external scenario factory under `info.name`. Returns
-/// AlreadyExists if the key is taken. Thread-safe.
-Status RegisterScenario(
-    ScenarioInfo info,
-    std::function<Result<std::unique_ptr<Scenario>>(
-        const Graph&, Workload, const ScenarioOptions&)> factory);
 
 }  // namespace piggy

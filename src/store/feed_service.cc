@@ -41,6 +41,24 @@ std::shared_ptr<obs::PlanPhaseTracer> TracePlanPhases(obs::TraceLog* trace, int3
   return tracer;
 }
 
+// A serving plane for (graph, schedule) with `log` replayed into it. Replay
+// traffic is bookkeeping, not served requests, so the client counters are
+// reset afterwards; only those — the fleet's ServerMetrics must survive, or
+// zeroing trimmed_events would defeat AuditStream's "completeness not
+// provable once trimming happened" guard and fail correct queries.
+Result<std::unique_ptr<Prototype>> BuildPlane(const Graph& graph,
+                                              const Schedule& schedule,
+                                              const std::vector<EventTuple>& log,
+                                              const PrototypeOptions& options) {
+  PIGGY_ASSIGN_OR_RETURN(std::unique_ptr<Prototype> plane,
+                         Prototype::Create(graph, schedule, options));
+  if (!log.empty()) {
+    PIGGY_RETURN_NOT_OK(plane->RestoreEvents(log));
+    plane->client().ResetMetrics();
+  }
+  return plane;
+}
+
 }  // namespace
 
 std::string FeedService::Metrics::ToString() const {
@@ -60,7 +78,13 @@ FeedService::FeedService(const Graph& graph, Workload workload,
                          FeedServiceOptions options)
     : options_(std::move(options)),
       graph_(graph),
-      workload_(std::move(workload)) {
+      workload_(std::move(workload)),
+      maintainer_(std::make_unique<IncrementalMaintainer>(&graph_, &schedule_,
+                                                          &workload_)) {
+  if (options_.replan.mode == ReplanMode::kDrift) {
+    estimator_ = std::make_unique<RateDriftEstimator>(graph.num_nodes(),
+                                                      options_.replan.drift);
+  }
   share_us_ = &registry_.GetHistogram("feed.share_us");
   query_us_ = &registry_.GetHistogram("feed.query_us");
   follow_us_ = &registry_.GetHistogram("feed.follow_us");
@@ -105,24 +129,18 @@ Result<std::unique_ptr<FeedService>> FeedService::Create(
   }
   auto service = std::unique_ptr<FeedService>(
       new FeedService(graph, std::move(workload), options));
-  if (service->options_.replan.mode == ReplanMode::kDrift) {
-    service->estimator_ = std::make_unique<RateDriftEstimator>(
-        graph.num_nodes(), service->options_.replan.drift);
-  }
-  service->maintainer_ = std::make_unique<IncrementalMaintainer>(
-      &service->graph_, &service->schedule_, &service->workload_);
-  PIGGY_RETURN_NOT_OK(service->Replan());
   {
     std::unique_lock<std::shared_mutex> lock(service->mu_);
+    PIGGY_RETURN_NOT_OK(service->ReplanLocked());
     PIGGY_RETURN_NOT_OK(service->RefreshServingLocked());
-  }
-  if (service->options_.durability.enabled()) {
-    PIGGY_ASSIGN_OR_RETURN(
-        service->durability_,
-        ShardDurability::Create(service->options_.durability, graph));
-    // Snapshot 0 captures the initial plan; wal-000000.log opens for appends.
-    std::unique_lock<std::shared_mutex> lock(service->mu_);
-    PIGGY_RETURN_NOT_OK(service->WriteSnapshotLocked());
+    if (service->options_.durability.enabled()) {
+      PIGGY_ASSIGN_OR_RETURN(
+          service->durability_,
+          ShardDurability::Create(service->options_.durability, graph));
+      // Snapshot 0 captures the initial plan; wal-000000.log opens for
+      // appends.
+      PIGGY_RETURN_NOT_OK(service->WriteSnapshotLocked());
+    }
   }
   return service;
 }
@@ -132,7 +150,6 @@ Result<std::unique_ptr<FeedService>> FeedService::Recover(
   const auto start = std::chrono::steady_clock::now();
   const double trace_start =
       options.trace != nullptr ? options.trace->NowUs() : 0.0;
-  RecoveryStats stats;
   PIGGY_ASSIGN_OR_RETURN(std::unique_ptr<ShardDurability> durability,
                          ShardDurability::Open(options.durability));
   PIGGY_ASSIGN_OR_RETURN(ShardDurability::RecoveredState state,
@@ -141,13 +158,7 @@ Result<std::unique_ptr<FeedService>> FeedService::Recover(
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
   const SnapshotData& snap = state.snapshot;
-  stats.snapshot_id = snap.id;
-  stats.snapshot_events = snap.events.size();
-  stats.wal_records = state.wal_records.size();
-  stats.torn_tail = state.torn_tail;
-  stats.fallback = state.fallback;
-  stats.wal_valid_bytes = state.wal_valid_bytes;
-  stats.wal_total_bytes = state.wal_total_bytes;
+  RecoveryStats stats = state.Stats();
 
   if (snap.production.size() != state.base_graph.num_nodes()) {
     return Status::IOError(
@@ -160,10 +171,6 @@ Result<std::unique_ptr<FeedService>> FeedService::Recover(
 
   auto service = std::unique_ptr<FeedService>(
       new FeedService(state.base_graph, std::move(workload), options));
-  if (service->options_.replan.mode == ReplanMode::kDrift) {
-    service->estimator_ = std::make_unique<RateDriftEstimator>(
-        state.base_graph.num_nodes(), service->options_.replan.drift);
-  }
 
   // Snapshot-time graph = base + the snapshot's cumulative churn delta (the
   // graph the embedded schedule was planned/repaired against). The WAL's
@@ -189,8 +196,6 @@ Result<std::unique_ptr<FeedService>> FeedService::Recover(
   // changes it.
   service->schedule_text_ =
       std::make_shared<const std::string>(snap.schedule_text);
-  service->maintainer_ = std::make_unique<IncrementalMaintainer>(
-      &service->graph_, &service->schedule_, &service->workload_);
   service->maintainer_->RebuildIndexes();
   PIGGY_RETURN_NOT_OK(ValidateSchedule(service->graph_, service->schedule_));
   {
@@ -204,11 +209,7 @@ Result<std::unique_ptr<FeedService>> FeedService::Recover(
   }
   {
     std::unique_lock<std::shared_mutex> lock(service->mu_);
-    PIGGY_RETURN_NOT_OK(service->RefreshServingLocked());
-    if (!snap.events.empty()) {
-      PIGGY_RETURN_NOT_OK(service->prototype_->RestoreEvents(snap.events));
-      service->prototype_->client().ResetMetrics();
-    }
+    PIGGY_RETURN_NOT_OK(service->RefreshServingLocked(snap.events));
   }
 
   // Replay the WAL tail through the public API. replaying_ suppresses
@@ -266,16 +267,12 @@ Result<std::unique_ptr<FeedService>> FeedService::Recover(
   if (stats.fallback) service->registry_.GetCounter("recovery.fallbacks").Add();
   service->registry_.GetGauge("recovery.wall_seconds").Set(stats.wall_seconds);
   if (options.trace != nullptr) {
-    options.trace->Span(
-        obs::TraceEventKind::kRecovery, trace_start, options.trace_shard,
-        {{"snapshot", std::to_string(stats.snapshot_id)},
-         {"snapshot_events", std::to_string(stats.snapshot_events)},
-         {"wal_records", std::to_string(stats.wal_records)},
-         {"torn_tail", stats.torn_tail ? "true" : "false"},
-         {"fallback", stats.fallback ? "true" : "false"},
-         {"load_ms", StrFormat("%.3f", load_seconds * 1e3)},
-         {"replay_ms",
-          StrFormat("%.3f", (stats.wall_seconds - load_seconds) * 1e3)}});
+    auto args = stats.TraceArgs();
+    args.emplace_back("load_ms", StrFormat("%.3f", load_seconds * 1e3));
+    args.emplace_back("replay_ms", StrFormat("%.3f", (stats.wall_seconds -
+                                                      load_seconds) * 1e3));
+    options.trace->Span(obs::TraceEventKind::kRecovery, trace_start,
+                        options.trace_shard, std::move(args));
   }
   if (stats_out != nullptr) *stats_out = stats;
   return service;
@@ -287,26 +284,61 @@ Status FeedService::Replan() {
 }
 
 Status FeedService::ReplanLocked() {
-  obs::TraceLog* trace = options_.trace;
-  const double trace_start = trace != nullptr ? trace->NowUs() : 0.0;
+  const double trace_start =
+      options_.trace != nullptr ? options_.trace->NowUs() : 0.0;
   WallTimer replan_timer;
+  PIGGY_ASSIGN_OR_RETURN(Graph snapshot, graph_.Snapshot());
+  PIGGY_ASSIGN_OR_RETURN(PlanResult plan,
+                         RunPlanner(snapshot, workload_, /*background=*/false));
+  return CommitPlanLocked(std::move(plan), /*background=*/false, trace_start,
+                          replan_timer);
+}
+
+const char* FeedService::PlanMode(bool background) const {
+  if (background) return "background";
+  return replaying_ ? "replay" : "inline";
+}
+
+Result<PlanResult> FeedService::RunPlanner(const Graph& graph,
+                                           const Workload& workload,
+                                           bool background) const {
+  obs::TraceLog* trace = options_.trace;
   if (trace != nullptr) {
     trace->Instant(obs::TraceEventKind::kReplanStart, options_.trace_shard,
-                   {{"planner", options_.planner},
-                    {"mode", replaying_ ? "replay" : "inline"}});
+                   {{"planner", options_.planner}, {"mode", PlanMode(background)}});
   }
   PIGGY_ASSIGN_OR_RETURN(std::unique_ptr<Planner> planner,
                          MakePlanner(options_.planner));
-  PIGGY_ASSIGN_OR_RETURN(Graph snapshot, graph_.Snapshot());
   PlanContext ctx = options_.plan_context;
+  // Shutdown flips the token and a background planner finishes early with
+  // an anytime-valid schedule.
+  if (background) ctx.cancel = &replan_cancel_;
   const auto tracer = TracePlanPhases(trace, options_.trace_shard, &ctx);
-  PIGGY_ASSIGN_OR_RETURN(PlanResult plan,
-                         planner->Plan(snapshot, workload_, ctx));
+  Result<PlanResult> plan = planner->Plan(graph, workload, ctx);
   if (tracer != nullptr) tracer->Close();
+  return plan;
+}
+
+Status FeedService::CommitPlanLocked(PlanResult plan, bool background,
+                                     double trace_start,
+                                     const WallTimer& replan_timer) {
   schedule_ = std::move(plan.schedule);
   schedule_text_.reset();
   maintainer_->RebuildIndexes();
-  options_.planner = plan.planner;  // canonicalize aliases ("ff" -> "hybrid")
+  // Churn that raced a background plan is re-applied to the fresh schedule
+  // through the Sec-3.3 local repair. Any other commit supersedes the
+  // in-flight background plan the journal belongs to: its publish step sees
+  // the epoch moved and discards itself.
+  if (!background) churn_journal_.clear();
+  const size_t raced_churn = churn_journal_.size();
+  for (const ChurnRecord& rec : churn_journal_) {
+    if (rec.added) {
+      maintainer_->RepairEdgeAdded(rec.producer, rec.consumer);
+    } else {
+      maintainer_->RepairEdgeRemoved(rec.producer, rec.consumer);
+    }
+  }
+  churn_journal_.clear();
   // The drift policy measures erosion relative to the advantage this plan
   // opened with (scale-invariant, so traffic surges alone never trigger).
   plan_advantage_ =
@@ -314,31 +346,29 @@ Status FeedService::ReplanLocked() {
   edges_at_plan_ = graph_.num_edges();
   if (estimator_ != nullptr) estimator_->OnReplanned();
   replans_->Add();
-  churn_since_plan_ = 0;
+  churn_since_plan_ = raced_churn;
   serving_dirty_ = true;
-  // An in-flight background plan lost the race; its publish step sees the
-  // epoch moved and discards itself.
   ++plan_epoch_;
-  churn_journal_.clear();
-  if (replan_us_ != nullptr) replan_us_->Record(replan_timer.Seconds() * 1e6);
-  if (trace != nullptr) {
+  replan_us_->Record(replan_timer.Seconds() * 1e6);
+  if (obs::TraceLog* trace = options_.trace; trace != nullptr) {
+    std::vector<std::pair<std::string, std::string>> args = {
+        {"planner", options_.planner},
+        {"cost", StrFormat("%.1f", plan.final_cost)},
+        {"epoch", std::to_string(plan_epoch_)}};
+    if (background) args.emplace_back("raced_churn", std::to_string(raced_churn));
     trace->Span(obs::TraceEventKind::kReplanCommit, trace_start,
-                options_.trace_shard,
-                {{"planner", options_.planner},
-                 {"cost", StrFormat("%.1f", plan.final_cost)},
-                 {"epoch", std::to_string(plan_epoch_)}});
+                options_.trace_shard, std::move(args));
     trace->Instant(obs::TraceEventKind::kScheduleSwap, options_.trace_shard,
                    {{"epoch", std::to_string(plan_epoch_)},
-                    {"mode", replaying_ ? "replay" : "inline"}});
+                    {"mode", PlanMode(background)}});
   }
   if (durability_ != nullptr && !replaying_) {
     // The commit record pins the replan's position in the op stream so
-    // recovery re-runs the planner at exactly this point; the snapshot that
-    // usually follows bounds replay to one plan epoch.
+    // recovery re-runs the planner at exactly this point; the snapshot
+    // bounds replay to one plan epoch. The event log is current under the
+    // exclusive lock, so snapshotting before a plane swap is safe.
     PIGGY_RETURN_NOT_OK(durability_->LogReplanCommit());
-    if (options_.durability.snapshot_on_replan) {
-      PIGGY_RETURN_NOT_OK(WriteSnapshotLocked());
-    }
+    PIGGY_RETURN_NOT_OK(WriteSnapshotLocked());
   }
   return Status::OK();
 }
@@ -395,13 +425,12 @@ void FeedService::ReplanThreadMain() {
 Status FeedService::BackgroundReplanOnce(bool refresh_workload) {
   // Phase 1 — freeze the inputs under the exclusive lock and arm the churn
   // journal: Follow/Unfollow from here to publish are recorded and re-applied
-  // to the fresh schedule via the Sec-3.3 local repair.
+  // to the fresh schedule at commit.
   Graph planning_snapshot;
   Workload workload_copy;
-  std::string planner_name;
   size_t epoch = 0;
-  obs::TraceLog* trace = options_.trace;
-  const double trace_start = trace != nullptr ? trace->NowUs() : 0.0;
+  const double trace_start =
+      options_.trace != nullptr ? options_.trace->NowUs() : 0.0;
   WallTimer replan_timer;
   {
     std::unique_lock<std::shared_mutex> lock(mu_);
@@ -410,40 +439,22 @@ Status FeedService::BackgroundReplanOnce(bool refresh_workload) {
     }
     PIGGY_ASSIGN_OR_RETURN(planning_snapshot, graph_.Snapshot());
     workload_copy = workload_;
-    planner_name = options_.planner;
     churn_journal_.clear();
     journal_active_ = true;
     epoch = plan_epoch_;
   }
-  if (trace != nullptr) {
-    trace->Instant(obs::TraceEventKind::kReplanStart, options_.trace_shard,
-                   {{"planner", planner_name}, {"mode", "background"}});
-  }
-  auto disarm_journal = [this] {
+
+  // Phase 2 — plan against the frozen snapshot, no locks held. Serving
+  // proceeds at full concurrency.
+  Result<PlanResult> planned =
+      RunPlanner(planning_snapshot, workload_copy, /*background=*/true);
+  if (!planned.ok()) {
     std::unique_lock<std::shared_mutex> lock(mu_);
     journal_active_ = false;
     churn_journal_.clear();
-  };
-
-  // Phase 2 — plan against the frozen snapshot, no locks held. Serving
-  // proceeds at full concurrency; shutdown flips the cancel token and the
-  // planner finishes early with an anytime-valid schedule.
-  Result<std::unique_ptr<Planner>> planner = MakePlanner(planner_name);
-  if (!planner.ok()) {
-    disarm_journal();
-    return planner.status();
+    return planned.status();
   }
-  PlanContext ctx = options_.plan_context;
-  ctx.cancel = &replan_cancel_;
-  const auto tracer = TracePlanPhases(trace, options_.trace_shard, &ctx);
-  Result<PlanResult> plan_result =
-      (*planner)->Plan(planning_snapshot, workload_copy, ctx);
-  if (tracer != nullptr) tracer->Close();
-  if (!plan_result.ok()) {
-    disarm_journal();
-    return plan_result.status();
-  }
-  PlanResult plan = std::move(plan_result).MoveValueOrDie();
+  PlanResult plan = std::move(planned).MoveValueOrDie();
 
   // Phase 3 — pre-build the replacement serving plane off-thread (the double
   // buffer): new fleet + client around the planned schedule, restored from a
@@ -454,26 +465,14 @@ Status FeedService::BackgroundReplanOnce(bool refresh_workload) {
     if (prototype_ != nullptr) log_copy = prototype_->EventLog();
   }
   auto fresh_snapshot = std::make_unique<Graph>(std::move(planning_snapshot));
-  bool plane_ok = false;
-  std::unique_ptr<Prototype> plane;
-  {
-    Result<std::unique_ptr<Prototype>> built =
-        Prototype::Create(*fresh_snapshot, plan.schedule, options_.prototype);
-    if (built.ok()) {
-      plane = std::move(built).MoveValueOrDie();
-      Status restored =
-          log_copy.empty() ? Status::OK() : plane->RestoreEvents(log_copy);
-      if (restored.ok()) {
-        // Replay traffic is bookkeeping, not served requests.
-        plane->client().ResetMetrics();
-        plane_ok = true;
-      }
-    }
-  }
+  Result<std::unique_ptr<Prototype>> built =
+      BuildPlane(*fresh_snapshot, plan.schedule, log_copy, options_.prototype);
+  std::unique_ptr<Prototype> plane =
+      built.ok() ? std::move(built).MoveValueOrDie() : nullptr;
 
-  // Phase 4 — publish under one brief exclusive section: swap the schedule,
-  // re-apply journaled churn, and either swap the pre-built plane in (after
-  // replaying shares that raced the build) or mark the plane for a lazy
+  // Phase 4 — publish under one brief exclusive section: commit the plan
+  // (raced churn re-applied), then either swap the pre-built plane in (after
+  // replaying shares that raced the build) or leave the plane for a lazy
   // rebuild when churn invalidated its view lists.
   std::unique_lock<std::shared_mutex> lock(mu_);
   journal_active_ = false;
@@ -481,49 +480,11 @@ Status FeedService::BackgroundReplanOnce(bool refresh_workload) {
     churn_journal_.clear();
     return Status::OK();  // superseded by shutdown or a newer plan
   }
-  schedule_ = std::move(plan.schedule);
-  schedule_text_.reset();
-  maintainer_->RebuildIndexes();
-  const size_t raced_churn = churn_journal_.size();
-  for (const ChurnRecord& rec : churn_journal_) {
-    if (rec.added) {
-      maintainer_->RepairEdgeAdded(rec.producer, rec.consumer);
-    } else {
-      maintainer_->RepairEdgeRemoved(rec.producer, rec.consumer);
-    }
-  }
-  churn_journal_.clear();
-  options_.planner = plan.planner;
-  plan_advantage_ =
-      plan.final_cost > 0 ? plan.hybrid_cost / plan.final_cost : 1.0;
-  edges_at_plan_ = graph_.num_edges();
-  if (estimator_ != nullptr) estimator_->OnReplanned();
-  replans_->Add();
   background_replans_->Add();
-  ++plan_epoch_;
-  churn_since_plan_ = raced_churn;
-  if (replan_us_ != nullptr) replan_us_->Record(replan_timer.Seconds() * 1e6);
-  if (trace != nullptr) {
-    trace->Span(obs::TraceEventKind::kReplanCommit, trace_start,
-                options_.trace_shard,
-                {{"planner", options_.planner},
-                 {"cost", StrFormat("%.1f", plan.final_cost)},
-                 {"epoch", std::to_string(plan_epoch_)},
-                 {"raced_churn", std::to_string(raced_churn)}});
-    trace->Instant(obs::TraceEventKind::kScheduleSwap, options_.trace_shard,
-                   {{"epoch", std::to_string(plan_epoch_)},
-                    {"mode", "background"}});
-  }
-  if (durability_ != nullptr) {
-    // Same durable commit as the inline path; the event log is current under
-    // this exclusive section, so snapshotting before the plane swap is safe.
-    PIGGY_RETURN_NOT_OK(durability_->LogReplanCommit());
-    if (options_.durability.snapshot_on_replan) {
-      PIGGY_RETURN_NOT_OK(WriteSnapshotLocked());
-    }
-  }
+  PIGGY_RETURN_NOT_OK(CommitPlanLocked(std::move(plan), /*background=*/true,
+                                       trace_start, replan_timer));
 
-  if (raced_churn == 0 && plane_ok && prototype_ != nullptr) {
+  if (churn_since_plan_ == 0 && plane != nullptr && prototype_ != nullptr) {
     // No churn raced: the pre-built plane's view lists match the published
     // schedule. Replay the shares that arrived during the build (a sorted
     // log diff — ids equal timestamps by construction) and swap in O(delta).
@@ -549,11 +510,9 @@ Status FeedService::BackgroundReplanOnce(bool refresh_workload) {
       snapshot_ = std::move(fresh_snapshot);  // ... then the graph it borrowed
       ++serving_rebuilds_;
       serving_dirty_ = false;
-      return Status::OK();
     }
   }
-  serving_dirty_ = true;  // lazy rebuild on the next request
-  return Status::OK();
+  return Status::OK();  // otherwise the commit left a lazy rebuild queued
 }
 
 Status FeedService::EnsureServing(std::shared_lock<std::shared_mutex>& lock) {
@@ -568,11 +527,13 @@ Status FeedService::EnsureServing(std::shared_lock<std::shared_mutex>& lock) {
   return Status::OK();
 }
 
-Status FeedService::RefreshServingLocked() {
+Status FeedService::RefreshServingLocked(const std::vector<EventTuple>& seed) {
   if (prototype_ != nullptr && !serving_dirty_) return Status::OK();
 
   std::vector<EventTuple> log;
-  if (prototype_ != nullptr) {
+  const bool rebuild = prototype_ != nullptr;
+  if (rebuild) {
+    // accumulated_ keeps the real served history across the rebuild.
     AccumulateClientMetrics();
     log = prototype_->EventLog();
     prototype_.reset();  // must drop its borrow before snapshot_ is replaced
@@ -580,17 +541,9 @@ Status FeedService::RefreshServingLocked() {
   }
   PIGGY_ASSIGN_OR_RETURN(Graph snapshot, graph_.Snapshot());
   snapshot_ = std::make_unique<Graph>(std::move(snapshot));
-  PIGGY_ASSIGN_OR_RETURN(prototype_, Prototype::Create(*snapshot_, schedule_,
-                                                       options_.prototype));
-  if (!log.empty()) {
-    PIGGY_RETURN_NOT_OK(prototype_->RestoreEvents(log));
-    // Replay traffic is bookkeeping, not served requests: keep it out of the
-    // messages-per-request accounting (accumulated_ holds the real history).
-    // Only the client counters — the fleet's ServerMetrics must survive, or
-    // zeroing trimmed_events would defeat AuditStream's "completeness not
-    // provable once trimming happened" guard and fail correct queries.
-    prototype_->client().ResetMetrics();
-  }
+  PIGGY_ASSIGN_OR_RETURN(prototype_, BuildPlane(*snapshot_, schedule_,
+                                                rebuild ? log : seed,
+                                                options_.prototype));
   serving_dirty_ = false;
   return Status::OK();
 }
@@ -601,30 +554,11 @@ void FeedService::AccumulateClientMetrics() {
   prototype_->client().ResetMetrics();
 }
 
-Status FeedService::Share(NodeId u) {
-  obs::ScopedLatency latency(replaying_ ? nullptr : share_us_);
-  {
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    if (u >= graph_.num_nodes()) {
-      return Status::InvalidArgument(StrFormat("unknown user %u", u));
-    }
-    PIGGY_RETURN_NOT_OK(EnsureServing(lock));
-    // Draw the seq, WAL-frame the record, then publish: a concurrent
-    // QueryStream can only ever observe an event that is already on the
-    // log, so neither the ack nor any read exposes state a crash could
-    // roll back past (ShardDurability serializes concurrent appends
-    // internally; a seq burned by a failed append is a harmless gap).
-    const uint64_t seq = prototype_->DrawShareSeq();
-    if (durability_ != nullptr && !replaying_) {
-      PIGGY_RETURN_NOT_OK(durability_->LogShare(u, seq));
-    }
-    prototype_->ShareEvent(u, seq);
-  }
-  PIGGY_RETURN_NOT_OK(ObserveRequest(/*is_share=*/true, u));
-  return MaybeSnapshot();
-}
+Status FeedService::Share(NodeId u) { return ShareWithSeq(u, std::nullopt); }
 
-Status FeedService::Share(NodeId u, uint64_t seq) {
+Status FeedService::Share(NodeId u, uint64_t seq) { return ShareWithSeq(u, seq); }
+
+Status FeedService::ShareWithSeq(NodeId u, std::optional<uint64_t> assigned) {
   obs::ScopedLatency latency(replaying_ ? nullptr : share_us_);
   {
     std::shared_lock<std::shared_mutex> lock(mu_);
@@ -632,8 +566,14 @@ Status FeedService::Share(NodeId u, uint64_t seq) {
       return Status::InvalidArgument(StrFormat("unknown user %u", u));
     }
     PIGGY_RETURN_NOT_OK(EnsureServing(lock));
-    // Same visibility contract as the self-sequenced overload: the record
-    // goes on the log before the event becomes readable.
+    // Draw the seq (unless the caller assigned one), WAL-frame the record,
+    // then publish: a concurrent QueryStream can only ever observe an event
+    // that is already on the log, so neither the ack nor any read exposes
+    // state a crash could roll back past (ShardDurability serializes
+    // concurrent appends internally; a seq burned by a failed append is a
+    // harmless gap).
+    const uint64_t seq =
+        assigned.has_value() ? *assigned : prototype_->DrawShareSeq();
     if (durability_ != nullptr && !replaying_) {
       PIGGY_RETURN_NOT_OK(durability_->LogShare(u, seq));
     }

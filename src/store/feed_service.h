@@ -12,7 +12,7 @@
 //   auto feed = service->QueryStream(user); // read path (optionally audited)
 //   service->Follow(alice, bob);            // churn; schedule repaired locally
 //   service->Replan();                      // full re-optimization, any time
-//   auto m = service->Metrics();            // cost + serving counters
+//   auto m = service->GetMetrics();         // cost + serving counters
 //
 // Lifecycle under churn: Follow/Unfollow apply the paper's Sec.-3.3 local
 // rules immediately (the schedule never goes invalid), and the serving plane
@@ -61,6 +61,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <thread>
@@ -79,6 +80,7 @@
 #include "store/prototype.h"
 #include "store/view_store.h"
 #include "util/status.h"
+#include "util/timer.h"
 #include "workload/workload.h"
 
 namespace piggy {
@@ -106,7 +108,7 @@ struct FeedServiceOptions {
   size_t audit_every = 0;
   /// WAL + snapshot persistence (disabled unless data_dir is set). Every
   /// acked Share/Follow/Unfollow/rate-shift is WAL-framed before the ack;
-  /// snapshots rotate per `snapshot_every` / `snapshot_on_replan`.
+  /// snapshots rotate per `snapshot_every` and at every replan commit.
   DurabilityOptions durability;
   /// Control-plane event sink (replan/swap/rotation/recovery events). Not
   /// owned; may be null. Shard-scoped events carry `trace_shard` so one ring
@@ -166,8 +168,8 @@ class FeedService {
   Status SetUserRates(NodeId u, double production, double consumption);
 
   /// Appends a migration-commit marker to this shard's WAL (no-op without
-  /// durability). The cluster's MigrationCoordinator writes it to both sides
-  /// of a user migration right before the assignment cutover; on recovery the
+  /// durability). ClusterService::MigrateUsers writes it to both sides of a
+  /// user migration right before the assignment cutover; on recovery the
   /// marker replays as a no-op. Thread-safe.
   Status LogMigrationCommit();
 
@@ -265,13 +267,34 @@ class FeedService {
   Status EnsureServing(std::shared_lock<std::shared_mutex>& lock);
 
   /// Rebuilds the Prototype around the current graph + schedule, replaying
-  /// the stored event log. No-op when the plane is fresh. Requires mu_ held
-  /// exclusively.
-  Status RefreshServingLocked();
+  /// the stored event log — or `seed` when there is no plane yet to take a
+  /// log from (Recover's snapshot events). No-op when the plane is fresh.
+  /// Requires mu_ held exclusively.
+  Status RefreshServingLocked(const std::vector<EventTuple>& seed = {});
 
-  /// Plans inline against the current graph and swaps the schedule in.
+  /// Plans inline against the current graph and commits the result.
   /// Requires mu_ held exclusively.
   Status ReplanLocked();
+
+  /// "background", or "inline" / "replay" for a plan on the calling thread:
+  /// the mode the replan trace events carry.
+  const char* PlanMode(bool background) const;
+
+  /// One run of the configured planner over a frozen graph, with the
+  /// replan_start event and its plan:* phase spans traced. A background run
+  /// is cancelled by shutdown.
+  Result<PlanResult> RunPlanner(const Graph& graph, const Workload& workload,
+                                bool background) const;
+
+  /// Swaps `plan` in as the live schedule and commits it: support indexes,
+  /// drift baseline, counters, the replan_commit/schedule_swap trace pair,
+  /// and (outside WAL replay) the durable commit record plus a snapshot. A
+  /// background commit first re-applies the churn journaled while it
+  /// planned; an inline one drops the journal of the background plan it
+  /// supersedes. Leaves the plane marked stale. Requires mu_ held
+  /// exclusively.
+  Status CommitPlanLocked(PlanResult plan, bool background, double trace_start,
+                          const WallTimer& replan_timer);
 
   /// The background replanner body: snapshot under the lock, plan + pre-
   /// build the plane outside it, publish + repair raced churn under it.
@@ -280,6 +303,10 @@ class FeedService {
   /// Queues a background run; spawns the thread on first use. `refresh`
   /// re-estimates the workload from the drift estimator before planning.
   Status RequestBackgroundReplan(bool refresh);
+
+  /// Both Share overloads: `assigned` is the caller's sequence number, or
+  /// empty to draw the plane's next one.
+  Status ShareWithSeq(NodeId u, std::optional<uint64_t> assigned);
 
   /// Folds the live client counters into the accumulated totals (called
   /// before the serving plane is torn down). Requires mu_ held exclusively.

@@ -16,6 +16,8 @@ namespace {
 
 const std::string kHashName = "hash";
 const std::string kEdgeCutName = "edge-cut";
+// How far past a perfectly even split the greedy pass may fill a shard.
+constexpr double kBalanceSlack = 0.05;
 
 }  // namespace
 
@@ -29,8 +31,7 @@ const std::string& HashPartitioner::name() const { return kHashName; }
 const std::string& GreedyEdgeCutPartitioner::name() const { return kEdgeCutName; }
 
 Result<GreedyEdgeCutPartitioner> GreedyEdgeCutPartitioner::Build(
-    const Graph& g, const Workload& w, size_t num_shards,
-    const EdgeCutOptions& options) {
+    const Graph& g, const Workload& w, size_t num_shards) {
   if (num_shards == 0) {
     return Status::InvalidArgument("need at least one shard");
   }
@@ -38,9 +39,6 @@ Result<GreedyEdgeCutPartitioner> GreedyEdgeCutPartitioner::Build(
     return Status::InvalidArgument(
         StrFormat("workload covers %zu users but graph has %zu nodes",
                   w.num_users(), g.num_nodes()));
-  }
-  if (options.balance_slack < 0) {
-    return Status::InvalidArgument("balance_slack must be non-negative");
   }
   const size_t n = g.num_nodes();
   constexpr uint32_t kUnassigned = UINT32_MAX;
@@ -57,7 +55,7 @@ Result<GreedyEdgeCutPartitioner> GreedyEdgeCutPartitioner::Build(
 
   const double capacity =
       std::max(1.0, std::ceil(static_cast<double>(n) / static_cast<double>(num_shards)) *
-                        (1.0 + options.balance_slack));
+                        (1.0 + kBalanceSlack));
   std::vector<size_t> load(num_shards, 0);
   std::vector<double> affinity(num_shards, 0.0);
   std::vector<uint32_t> touched;
@@ -123,16 +121,15 @@ std::vector<PartitionerInfo> RegisteredPartitioners() {
 Result<std::unique_ptr<Partitioner>> MakePartitioner(std::string_view name,
                                                      const Graph& g,
                                                      const Workload& w,
-                                                     size_t num_servers,
-                                                     uint64_t salt) {
+                                                     size_t num_servers) {
   if (num_servers == 0) {
     return Status::InvalidArgument("need at least one server");
   }
   if (name == kHashName) {
     return std::unique_ptr<Partitioner>(
-        std::make_unique<HashPartitioner>(num_servers, salt));
+        std::make_unique<HashPartitioner>(num_servers));
   }
-  if (name == kEdgeCutName || name == "greedy") {
+  if (name == kEdgeCutName) {
     PIGGY_ASSIGN_OR_RETURN(GreedyEdgeCutPartitioner part,
                            GreedyEdgeCutPartitioner::Build(g, w, num_servers));
     return std::unique_ptr<Partitioner>(

@@ -31,9 +31,9 @@
 
 namespace piggy {
 
-/// Default salt of the hash placement. One constant shared by every
-/// construction path (direct HashPartitioner, MakePartitioner,
-/// PrototypeOptions, ClusterOptions) so they all agree on the same placement.
+/// Salt of the hash placement. One constant shared by every construction
+/// path (direct HashPartitioner, MakePartitioner, Prototype) so they all
+/// agree on the same placement.
 inline constexpr uint64_t kDefaultPartitionSalt = 0x9a75a11ceULL;
 
 /// \brief Maps users to data-store servers.
@@ -69,14 +69,6 @@ class HashPartitioner : public Partitioner {
   uint64_t salt_;
 };
 
-/// \brief Knobs of the greedy edge-cut partitioner.
-struct EdgeCutOptions {
-  /// Per-shard capacity is ceil(n / k) * (1 + balance_slack): the slack a
-  /// shard may run over a perfectly even split before the greedy pass stops
-  /// adding to it. Small values keep load balanced at a slightly higher cut.
-  double balance_slack = 0.05;
-};
-
 /// \brief Graph-aware placement minimizing the rate-weighted edge cut.
 ///
 /// A one-pass weighted linear-deterministic-greedy (LDG) streaming
@@ -89,14 +81,16 @@ struct EdgeCutOptions {
 /// where affinity(u, s) sums, over u's already-placed neighbors in s, the
 /// cost the edge would add if it were cut: min(rp(producer), rc(consumer)) —
 /// the cheaper (hybrid-rule) side that the cluster layer pays in cross-shard
-/// messages. Deterministic; ties break toward the least-loaded shard.
+/// messages. Deterministic; ties break toward the least-loaded shard. A
+/// shard's capacity is ceil(n / k) * 1.05: the greedy pass stops adding to a
+/// shard 5% over a perfectly even split, keeping load balanced at a slightly
+/// higher cut.
 class GreedyEdgeCutPartitioner : public Partitioner {
  public:
   /// Computes the assignment for every node of `g`. The workload must cover
   /// the graph (rates weight the cut).
   static Result<GreedyEdgeCutPartitioner> Build(const Graph& g, const Workload& w,
-                                                size_t num_shards,
-                                                const EdgeCutOptions& options = {});
+                                                size_t num_shards);
 
   uint32_t ServerOf(NodeId user) const override {
     PIGGY_CHECK_LT(user, assignment_.size());
@@ -122,20 +116,21 @@ class GreedyEdgeCutPartitioner : public Partitioner {
 
 /// \brief Registry metadata for one partitioner policy.
 struct PartitionerInfo {
-  std::string name;         ///< canonical registry key
+  std::string name;         ///< registry key
   std::string description;  ///< one line, shown by `piggy_tool --partitioner list`
 };
 
 /// All registered partitioners, sorted by name.
 std::vector<PartitionerInfo> RegisteredPartitioners();
 
-/// Instantiates a partitioner by registry name ("hash" | "edge-cut"; alias
-/// "greedy" -> "edge-cut"). The graph/workload are only read at build time
-/// (the hash policy ignores them). Unknown names return InvalidArgument
-/// listing the valid options, mirroring MakePlanner.
-Result<std::unique_ptr<Partitioner>> MakePartitioner(
-    std::string_view name, const Graph& g, const Workload& w, size_t num_servers,
-    uint64_t salt = kDefaultPartitionSalt);
+/// Instantiates a partitioner by registry name ("hash" | "edge-cut"). The
+/// graph/workload are only read at build time (the hash policy ignores them).
+/// Unknown names return InvalidArgument listing the valid options, mirroring
+/// MakePlanner.
+Result<std::unique_ptr<Partitioner>> MakePartitioner(std::string_view name,
+                                                     const Graph& g,
+                                                     const Workload& w,
+                                                     size_t num_servers);
 
 /// \brief Predicted cost with data placement (Fig. 7):
 ///

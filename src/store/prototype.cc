@@ -24,8 +24,7 @@ Result<std::unique_ptr<Prototype>> Prototype::Create(const Graph& graph,
     return Status::InvalidArgument("feed_size must be positive");
   }
   auto proto = std::unique_ptr<Prototype>(new Prototype(graph, options));
-  proto->partitioner_ = std::make_unique<HashPartitioner>(options.num_servers,
-                                                          options.partition_salt);
+  proto->partitioner_ = std::make_unique<HashPartitioner>(options.num_servers);
   proto->servers_.reserve(options.num_servers);
   for (size_t s = 0; s < options.num_servers; ++s) {
     proto->servers_.emplace_back(static_cast<uint32_t>(s), options.view_capacity);
@@ -147,7 +146,7 @@ Status Prototype::AuditStream(NodeId u, const std::vector<EventTuple>& stream,
 
 double Prototype::ActualThroughput() const {
   double mpr = client_->metrics().MessagesPerRequest();
-  return mpr > 0 ? options_.client_messages_per_second / mpr : 0.0;
+  return mpr > 0 ? kClientMessagesPerSecond / mpr : 0.0;
 }
 
 std::vector<uint64_t> Prototype::PerServerQueryLoad() const {

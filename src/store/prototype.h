@@ -38,15 +38,16 @@
 
 namespace piggy {
 
-/// \brief Prototype configuration.
+/// Calibration constant: batched messages one client can issue per second.
+/// Chosen so the 1-server point lands in the paper's 60-70k req/s range.
+inline constexpr double kClientMessagesPerSecond = 70000.0;
+
+/// \brief Prototype configuration. Views are placed by HashPartitioner with
+/// the shared kDefaultPartitionSalt.
 struct PrototypeOptions {
   size_t num_servers = 16;
   size_t feed_size = 10;       ///< events per stream (paper: 10 latest)
   size_t view_capacity = 128;  ///< events retained per view (0 = unbounded)
-  uint64_t partition_salt = kDefaultPartitionSalt;
-  /// Calibration constant: batched messages one client can issue per second.
-  /// Chosen so the 1-server point lands in the paper's 60-70k req/s range.
-  double client_messages_per_second = 70000.0;
 };
 
 /// \brief A running system instance.

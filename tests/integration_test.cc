@@ -104,7 +104,7 @@ TEST_F(PipelineTest, MeasuredMessagesMatchPlacementCost) {
   Schedule ff = HybridSchedule(graph_, workload_);
   PrototypeOptions opt;
   opt.num_servers = 64;
-  HashPartitioner part(opt.num_servers, opt.partition_salt);
+  HashPartitioner part(opt.num_servers);
   double predicted_cost = PlacementAwareCost(graph_, workload_, ff, part);
   double total_rate = workload_.TotalProduction() + workload_.TotalConsumption();
   double predicted_mpr = predicted_cost / total_rate;

@@ -99,8 +99,7 @@ TEST(PrototypeTest, ActualThroughputTracksMessages) {
   }
   // One server: exactly one message per request.
   EXPECT_DOUBLE_EQ(one.prototype->client().metrics().MessagesPerRequest(), 1.0);
-  EXPECT_DOUBLE_EQ(one.prototype->ActualThroughput(),
-                   one.prototype->options().client_messages_per_second);
+  EXPECT_DOUBLE_EQ(one.prototype->ActualThroughput(), kClientMessagesPerSecond);
 }
 
 TEST(PrototypeTest, MoreServersLowerPerClientThroughput) {

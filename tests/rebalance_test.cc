@@ -416,6 +416,56 @@ TEST_F(RebalanceTest, DurableMigrateRecoverRoundTrip) {
   EXPECT_EQ(AllFeeds(*back, n), before);
 }
 
+TEST_F(RebalanceTest, AbortedMigrationKeepsServingAndRetries) {
+  // An error at the commit point aborts the batch: the cluster keeps serving
+  // the old placement, the half-built generations are gone, and the same
+  // batch succeeds once the fault clears.
+  const size_t n = 160;
+  Graph g = MakeFlickrLike(n, 41).ValueOrDie();
+  Workload w = GenerateWorkload(g, {.min_rate = 0.05}).ValueOrDie();
+  ClusterOptions opts = DurableOpts(Dir("cluster"));
+
+  std::vector<std::vector<EventTuple>> before;
+  std::vector<uint32_t> assignment;
+  {
+    auto cluster = ClusterService::Create(g, w, opts).MoveValueOrDie();
+    for (const auto& op : MakeStorm(n, 400, 43)) {
+      ASSERT_TRUE(ApplyOp(*cluster, op).ok());
+    }
+    before = AllFeeds(*cluster, n);
+    const std::vector<uint32_t> old_assignment = cluster->shard_map().assignment();
+    const size_t migrations = cluster->GetMetrics().migrations;
+    const std::vector<UserMove> moves = {{cluster->shard_map().Members(0)[0], 2},
+                                         {cluster->shard_map().Members(1)[0], 3}};
+
+    FailPointRegistry::Instance().Arm("migration.commit", FailPointAction::kError);
+    const Status aborted = cluster->MigrateUsers(moves);
+    EXPECT_TRUE(aborted.IsIOError()) << aborted.ToString();
+    EXPECT_EQ(cluster->shard_map().assignment(), old_assignment);
+    EXPECT_EQ(AllFeeds(*cluster, n), before);
+    EXPECT_TRUE(cluster->Validate().ok());
+    EXPECT_EQ(cluster->GetMetrics().migrations, migrations);
+    for (const auto& entry : std::filesystem::directory_iterator(Dir("cluster"))) {
+      const std::string name = entry.path().filename().string();
+      EXPECT_FALSE(name.rfind("shard-", 0) == 0 && name.find(".g") != std::string::npos)
+          << "aborted generation left behind: " << name;
+    }
+
+    FailPointRegistry::Instance().ClearAll();
+    ASSERT_TRUE(cluster->MigrateUsers(moves).ok());
+    EXPECT_EQ(cluster->GetMetrics().migrations, migrations + 1);
+    EXPECT_EQ(cluster->shard_map().ShardOf(moves[0].user), 2u);
+    EXPECT_EQ(cluster->shard_map().ShardOf(moves[1].user), 3u);
+    EXPECT_EQ(AllFeeds(*cluster, n), before);  // feeds are placement-free
+    assignment = cluster->shard_map().assignment();
+  }  // orderly shutdown
+
+  auto back = ClusterService::Recover(opts).MoveValueOrDie();
+  EXPECT_TRUE(back->Validate().ok());
+  EXPECT_EQ(back->shard_map().assignment(), assignment);
+  EXPECT_EQ(AllFeeds(*back, n), before);
+}
+
 TEST_F(RebalanceTest, KillDuringMigrationRecoverStorm) {
   // Acceptance: randomized crashes at the migration-commit boundaries (plus
   // WAL sites for contrast). The recovered cluster must serve feeds

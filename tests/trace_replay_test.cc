@@ -239,7 +239,7 @@ TEST_F(TraceReplayTest, ScriptedScenarioEventSequence) {
   EXPECT_GT(run.metrics.recovery.wal_records +
                 run.metrics.recovery.snapshot_events,
             0u);
-  // Durability rotated on the policy replan (snapshot_on_replan default).
+  // Durability rotated on the policy replan (every replan commit snapshots).
   EXPECT_GE(CountOf(events, obs::TraceEventKind::kSnapshotPublish), 1u);
 
   // Causal order in the ring (Events() is oldest-first): the kill precedes

@@ -192,7 +192,6 @@ int ListPlanners() {
   for (const PlannerInfo& info : RegisteredPlanners()) {
     std::printf("  %-10s %s\n", info.name.c_str(), info.description.c_str());
   }
-  std::printf("aliases: ff -> hybrid, parallelnosy -> nosy\n");
   return 0;
 }
 
@@ -201,7 +200,6 @@ int ListPartitioners() {
   for (const PartitionerInfo& info : RegisteredPartitioners()) {
     std::printf("  %-10s %s\n", info.name.c_str(), info.description.c_str());
   }
-  std::printf("aliases: greedy -> edge-cut\n");
   return 0;
 }
 
@@ -412,7 +410,7 @@ Status CmdOptimize(const Args& args) {
   // the typed factory, otherwise instantiate from the registry.
   std::unique_ptr<Planner> planner;
   const int64_t iterations = args.Int("iterations", 0);
-  if (iterations > 0 && (name == "nosy" || name == "parallelnosy")) {
+  if (iterations > 0 && name == "nosy") {
     ParallelNosyOptions opt;
     opt.max_iterations = static_cast<size_t>(iterations);
     planner = MakeParallelNosyPlanner(opt);
@@ -502,7 +500,7 @@ Status CmdEvaluate(const Args& args) {
   // From the replay's rows, which leave the audit queries out.
   const double throughput =
       report.messages_per_request > 0
-          ? popt.client_messages_per_second / report.messages_per_request
+          ? kClientMessagesPerSecond / report.messages_per_request
           : 0;
   std::printf("measured: %s throughput=%.0f audits=%zu\n",
               report.ToString().c_str(), throughput, audits);
